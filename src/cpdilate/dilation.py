@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import KrausFamily, apply_kraus, classify
-from .linalg import Array, dagger, fro, hermitize, pinv_psd
+from .linalg import Array, CapExceededError, dagger, fro, hermitize, pinv_psd
 from .prodsys import (
     E_STEP,
     F_STEP,
@@ -56,10 +56,6 @@ DEFAULT_PSD_TOL = 1e-10
 DEFAULT_RANK_REL = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 class OutOfHorizonError(ValueError):
@@ -520,6 +516,117 @@ def verify_e_dilation(
     )
 
 
+# Commutant of a *-closed generator set. A fixed-seed random Hermitian element
+# A of the span lies in the generated algebra, so every element of the
+# commutant commutes with A and is block-diagonal over A's eigenspaces
+# (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
+# Eigenvalues closer than CLUSTER_REL * ||A|| share a block: an eigenspace
+# split by roundoff stays whole, and merging two distinct eigenvalues only
+# enlarges the search space, so the count never depends on the draw.
+COMMUTANT_SEED = 0
+CLUSTER_REL = 1e-8
+# Unknowns of one commutant solve: the sum of squared block sizes. The normal
+# operator holds their square, 4096^2 complex entries (256 MiB) at the cap.
+MAX_COMMUTANT_UNKNOWNS = 4096
+
+
+def _random_coefficients(count: int) -> Array:
+    rng = np.random.default_rng(COMMUTANT_SEED)
+    return rng.normal(size=count) + 1j * rng.normal(size=count)
+
+
+def _eigen_clusters(a: Array) -> tuple[Array, Array]:
+    """Eigenvectors of a Hermitian matrix and the sizes of its eigenvalue clusters."""
+    w, v = np.linalg.eigh(a)
+    norm = float(np.abs(w).max()) if w.size else 0.0
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_REL * norm) + 1
+    return v, np.diff(np.concatenate(([0], cuts, [w.size])))
+
+
+def _block_commutant(
+    mats: Array, frame: Array, sizes: Array, tol: float
+) -> tuple[Array, Array, Array]:
+    """Commutant of the *-closed span of mats among matrices block-diagonal in frame.
+
+    Minimizes sum_g ||[C, B_g]||^2 over block-diagonal C, with B_g the
+    generators in the frame. Returns (coef, p, q): column k of coef holds the
+    entries of the k-th commutant basis element at positions (p, q) of the frame.
+    """
+    unknowns = int(sizes @ sizes)
+    if unknowns > MAX_COMMUTANT_UNKNOWNS:
+        raise CapExceededError(
+            f"commutant solve needs {unknowns} unknowns, over the cap {MAX_COMMUTANT_UNKNOWNS}"
+        )
+    d = frame.shape[0]
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    p, q = np.nonzero(labels[:, None] == labels[None, :])  # row-major within each block
+
+    # Normal operator N(C) = C S1 + S2 C - sum_g (B C B* + B* C B), with
+    # S1 = sum_g B B*, S2 = sum_g B* B. The sandwich terms, restricted to the
+    # unknowns, are T + T^* with T[u, w] = sum_g B[p_u, p_w] conj(B[q_u, q_w]);
+    # for blocks of size one this is the graph Laplacian of W = sum_g |B|^2.
+    # Generators are moved into the frame one at a time, so no second stack
+    # of them is held, and S1, S2 are formed only on the blocks.
+    t = np.zeros((unknowns, unknowns), dtype=complex)
+    s1 = np.zeros((d, d), dtype=complex)
+    s2 = np.zeros((d, d), dtype=complex)
+    frame_h = dagger(frame)
+    for m in mats:
+        bg = frame_h @ m @ frame
+        t += bg[np.ix_(p, p)] * bg[np.ix_(q, q)].conj()
+        s1[p, q] += np.sum(bg[p] * bg[q].conj(), axis=1)
+        s2[p, q] += np.sum(bg[:, p].conj() * bg[:, q], axis=0)
+    normal = -(t + dagger(t))
+    del t
+    start = offset = 0
+    for k in sizes:
+        blk = slice(offset, offset + k)
+        eye = np.eye(k, dtype=complex)
+        sl = slice(start, start + k * k)
+        normal[sl, sl] += np.kron(eye, s1[blk, blk].T) + np.kron(s2[blk, blk], eye)
+        start += k * k
+        offset += k
+
+    evals, evecs = np.linalg.eigh(hermitize(normal))
+    scale = max(float(evals[-1]), 1.0)
+    return evecs[:, evals < 0.01 * tol * scale], p, q
+
+
+def algebra_dims(mats: Array, tol: float = 1e-8) -> tuple[int, int]:
+    """(dim of the commutant, dim of the generated unital *-algebra) of mats.
+
+    mats is a (count, d, d) stack whose span is closed under adjoints. By the
+    double commutant theorem the algebra is the commutant of the commutant:
+    all d^2 when the commutant is the scalars, the sum of squared ranks of its
+    minimal projections when the commutant is abelian, and otherwise the
+    commutant dimension of a basis of the commutant. Raises CapExceededError
+    before allocating when a solve would pass MAX_COMMUTANT_UNKNOWNS unknowns,
+    or a dense commutant basis more than MAX_COMMUTANT_UNKNOWNS^2 entries.
+    """
+    d = mats.shape[-1]
+    a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
+    coef, p, q = _block_commutant(mats, *_eigen_clusters(a + dagger(a)), tol)
+    dim_comm = coef.shape[1]
+    if dim_comm <= 1:
+        return dim_comm, d * d
+
+    # Everything below stays in the frame of the first solve.
+    r = np.zeros((d, d), dtype=complex)
+    r[p, q] = coef @ _random_coefficients(dim_comm)
+    frame, sizes = _eigen_clusters(r + dagger(r))
+    if sizes.size == dim_comm:
+        # Abelian commutant: a random element has one cluster per minimal
+        # projection, and the algebra is the direct sum of full matrix blocks.
+        return dim_comm, int(sizes @ sizes)
+    if dim_comm * d * d > MAX_COMMUTANT_UNKNOWNS**2:
+        raise CapExceededError(
+            f"commutant basis of {dim_comm} matrices of size {d} is over the cap"
+        )
+    comm = np.zeros((dim_comm, d, d), dtype=complex)
+    comm[:, p, q] = coef.T
+    return dim_comm, _block_commutant(comm, frame, sizes, tol)[0].shape[1]
+
+
 @dataclass(frozen=True)
 class MinimalityReport:
     grid_limit: GridPoint
@@ -546,9 +653,13 @@ def minimality_check(
     (1) Iterate the span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H)
         over grid points g_i <= grid_limit and matrix units m_i until it
         stabilizes or the depth cap is hit; minimality of K means it reaches
-        dim K. (2) Generate the algebra spanned by the alpha_g(m) and compute
-        the dimension of its commutant; when the compressed algebra is all of
-        B(H) the commutant must be the scalars.
+        dim K. (2) The generators alpha_g(m) form a *-closed set, so by the
+        double commutant theorem they generate B(K) exactly when their
+        commutant is the scalars; algebra_dims computes the commutant from a
+        random element of their span. closure_dim is the dimension of the
+        generated unital *-algebra, read off the double commutant (dim K^2
+        when the commutant is the scalars); closure_converged is always True,
+        as no iteration is involved.
 
     grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
     is exact for every g on the grid, and the span genuinely needs grid
@@ -560,8 +671,7 @@ def minimality_check(
         raise OutOfHorizonError(f"{limit.key()} exceeds the horizon")
     n = sys.dim_h
     units = _matrix_units(n)
-    gens = [res.alpha_corner(g, m) for g in grid_points(limit) for m in units]
-    gen_stack = np.stack(gens)
+    gen_stack = np.stack([res.alpha_corner(g, m) for g in grid_points(limit) for m in units])
     d = dsp.dim_k
 
     def _orth_columns(cols: Array) -> Array:
@@ -581,54 +691,28 @@ def minimality_check(
             return cols[:, :0]
         return u[:, s > 1e-8 * max(1.0, float(s[0]))]
 
-    def _fresh_directions(basis: Array, cands: Array) -> Array:
-        for _ in range(2):
-            cands = cands - basis @ (dagger(basis) @ cands)
-        return _orth_columns(cands)
-
     # Words in the generators applied to the embedded copy of H; only the
     # directions found in the previous round need another multiplication.
     span = _orth_columns(dsp.embed_h)
     new = span
     for _ in range(depth_cap):
-        cands = np.einsum("gij,jr->igr", gen_stack, new).reshape(d, -1)
-        fresh = _fresh_directions(span, cands)
+        cands = (gen_stack @ new).transpose(1, 0, 2).reshape(d, -1)
+        for _ in range(2):
+            cands = cands - span @ (dagger(span) @ cands)
+        fresh = _orth_columns(cands)
         if fresh.shape[1] == 0:
             break
         span = np.hstack([span, fresh])
         new = fresh
     span_rank = span.shape[1]
-    span_full = span_rank == dsp.dim_k
 
-    basis = _orth_columns(np.eye(d, dtype=complex).reshape(d * d, 1))
-    new = basis
-    converged = False
-    for _ in range(depth_cap):
-        mats = new.T.reshape(-1, d, d)
-        prods = np.einsum("gij,rjk->ikgr", gen_stack, mats).reshape(d * d, -1)
-        fresh = _fresh_directions(basis, prods)
-        if fresh.shape[1] == 0:
-            converged = True
-            break
-        basis = np.hstack([basis, fresh])
-        new = fresh
-    basis_rank = basis.shape[1]
-
-    lop = np.zeros((d * d, d * d), dtype=complex)
-    ident = np.eye(d, dtype=complex)
-    for a in gens:
-        c = np.kron(ident, a) - np.kron(a.T, ident)
-        lop += dagger(c) @ c
-    evals = np.linalg.eigvalsh(hermitize(lop))
-    scale = max(float(evals[-1]), 1.0)
-    commutant_dim = int(np.sum(evals < 0.01 * tol * scale))
-
+    commutant_dim, closure_dim = algebra_dims(gen_stack, tol)
     return MinimalityReport(
         grid_limit=limit,
-        dim_k=dsp.dim_k,
+        dim_k=d,
         span_dim=span_rank,
-        span_full=span_full,
+        span_full=span_rank == d,
         commutant_dim=commutant_dim,
-        closure_dim=basis_rank,
-        closure_converged=converged,
+        closure_dim=closure_dim,
+        closure_converged=True,
     )

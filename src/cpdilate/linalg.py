@@ -10,6 +10,10 @@ import numpy as np
 Array = np.ndarray
 
 
+class CapExceededError(RuntimeError):
+    """A size cap would be passed; raised before the large allocation."""
+
+
 class CompletionError(RuntimeError):
     """Orthonormal completion could not be carried out to full dimension."""
 

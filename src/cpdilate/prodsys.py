@@ -28,12 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import DEFAULT_TOL, KrausFamily, apply_kraus, classify
-from .linalg import Array, dagger, fro
+from .linalg import Array, CapExceededError, dagger, fro
 from .strongcomm import StrongCommutationCertificate, verify_certificate
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 class InvalidCertificateError(ValueError):

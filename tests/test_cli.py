@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cpdilate import dilation
 from cpdilate.chan import KrausFamily, channel_to_json, identity_channel
 from cpdilate.cli import main
 
@@ -120,6 +121,25 @@ class TestChannels:
         assert rep["minimality"]["span_dim"] == 2
         assert rep["minimality"]["commutant_dim"] == 1
 
+    def test_dilate_byte_stable_across_runs(self):
+        args = (
+            "dilate",
+            str(FIXTURES / "channel_corner_collapse.json"),
+            str(FIXTURES / "channel_identity_2.json"),
+            "--horizon", "2", "2",
+            "--margin", "1", "1",
+        )
+        outs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                main(list(args))
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["minimality"] == {
+            "span_dim": 8, "commutant_dim": 1, "closure_dim": 64, "closure_converged": True,
+        }
+
     def test_dilate_combined_file_with_certificate(self, tmp_path):
         z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
         x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
@@ -170,6 +190,18 @@ class TestErrors:
             "strong-commute", ch, str(FIXTURES / "stochastic_p_3x3.json")
         )
         assert code == 2
+
+    def test_minimality_cap_exits_two(self, monkeypatch):
+        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)
+        code, rep = run_cli(
+            "dilate",
+            str(FIXTURES / "channel_conj_z.json"),
+            str(FIXTURES / "channel_conj_x.json"),
+            "--horizon", "2", "2",
+            "--margin", "1", "1",
+        )
+        assert code == 2
+        assert "over the cap" in rep["error"]
 
     def test_stochastic_bad_rows_exit_two(self, tmp_path):
         bad = tmp_path / "notstochastic.json"

@@ -1,12 +1,18 @@
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdilate import dilation
 from cpdilate.chan import KrausFamily, apply_kraus, identity_channel
 from cpdilate.dilation import (
     CapExceededError,
     OutOfHorizonError,
+    algebra_dims,
     build_big_space,
     build_dilation_space,
     lift_operators,
@@ -17,7 +23,7 @@ from cpdilate.linalg import dagger, fro
 from cpdilate.prodsys import GridPoint, build_product_system, grid_points
 from cpdilate.strongcomm import strong_commutation_certificate
 
-from conftest import CommutingFamily, mix_of_unitaries
+from conftest import CommutingFamily, mix_of_unitaries, random_unitary
 
 
 def make_system(theta, phi):
@@ -305,9 +311,141 @@ class TestMinimality:
         # R = B(K): the generated algebra is everything.
         assert rep.closure_dim == rep.dim_k**2
 
+    def test_mix_pair_at_dim_k_128(self):
+        # The d^2 x d^2 commutator operator would need 12.8 GiB here.
+        family = CommutingFamily(2, np.random.default_rng(5))
+        theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
+        sys_, _, _, dsp = pipeline(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        start = time.perf_counter()
+        rep = minimality_check(res)
+        assert time.perf_counter() - start < 2.0
+        assert rep.dim_k == rep.span_dim == 128
+        assert rep.commutant_dim == 1
+        assert rep.closure_dim == 128**2
+
     def test_span_not_full_below_horizon(self, corner_pair):
         # Restricting the grid to the margin cannot exhaust a proper dilation.
         sys_, _, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
         rep = minimality_check(res, grid_limit=GridPoint(1, 1))
         assert rep.span_dim < rep.dim_k
+
+
+def oracle_commutant(mats, tol=1e-8):
+    """Commutant basis from the full d^2 x d^2 commutator operator.
+
+    sum_g c_g^* c_g with c_g = I (x) a_g - a_g^T (x) I acts on column-stacked
+    vec(X) as X -> sum_g [a_g^*, [a_g, X]]; expanded, it is
+    I (x) sum a^* a + sum conj(a) a^T (x) I - sum (a^T (x) a^* + conj(a) (x) a).
+    Its near-null eigenvectors, under the same 0.01 tol scale cut, span the
+    commutant. O(d^4) memory, so small d only.
+    """
+    d = mats.shape[-1]
+    ident = np.eye(d, dtype=complex)
+    lop = np.kron(ident, sum(dagger(a) @ a for a in mats))
+    lop += np.kron(sum(a.conj() @ a.T for a in mats), ident)
+    for a in mats:
+        lop -= np.kron(a.T, dagger(a)) + np.kron(a.conj(), a)
+    evals, evecs = np.linalg.eigh(0.5 * (lop + dagger(lop)))
+    scale = max(float(evals[-1]), 1.0)
+    null = evecs[:, evals < 0.01 * tol * scale]
+    return np.stack([v.reshape(d, d, order="F") for v in null.T])
+
+
+def _units_of(n):
+    """The n^2 matrix units E_rc of M_n, row-major in (r, c)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+def _direct_sum(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0]:, a.shape[0]:] = b
+    return out
+
+
+# *-closed generator sets with known (commutant, generated algebra) dimensions.
+SYNTHETIC_SETS = {
+    "B(C^6)": (_units_of(6), (1, 36)),
+    "M3 x I2": (np.stack([np.kron(e, np.eye(2)) for e in _units_of(3)]), (4, 9)),
+    "M2 + M3": (
+        np.stack(
+            [_direct_sum(e, np.zeros((3, 3))) for e in _units_of(2)]
+            + [_direct_sum(np.zeros((2, 2)), e) for e in _units_of(3)]
+        ),
+        (2, 13),
+    ),
+    "(M2 x I2) + M1": (
+        np.stack(
+            [_direct_sum(np.kron(e, np.eye(2)), np.zeros((1, 1))) for e in _units_of(2)]
+            + [_direct_sum(np.zeros((4, 4)), np.eye(1))]
+        ),
+        (5, 5),
+    ),
+    # Every element is a multiple of I: the random element is fully degenerate.
+    "scalars on C^3": (np.eye(3, dtype=complex)[None], (9, 1)),
+}
+
+
+class TestCommutant:
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_SETS))
+    def test_synthetic_sets_match_oracle(self, name):
+        mats, want = SYNTHETIC_SETS[name]
+        # A random unitary frame, so no block is aligned with the standard
+        # basis and degenerate eigenvalues are split by roundoff.
+        u = random_unitary(mats.shape[-1], np.random.default_rng(11))
+        mats = u @ mats @ dagger(u)
+        comm = oracle_commutant(mats)
+        assert len(comm) == want[0]
+        assert len(oracle_commutant(comm)) == want[1]
+        assert algebra_dims(mats) == want
+
+    def test_cap_raises_before_allocating(self):
+        d = math.isqrt(dilation.MAX_COMMUTANT_UNKNOWNS) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                algebra_dims(np.eye(d, dtype=complex)[None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The refused solve would hold a (d^2 x d^2) complex operator.
+        assert peak < 0.01 * 16 * d**4
+
+    def test_cap_on_dense_commutant_basis(self, monkeypatch):
+        # (M2 x I2) + M1 solves over 9 unknowns twice; its non-abelian
+        # commutant is held as 5 dense 5 x 5 matrices before the second solve.
+        mats, want = SYNTHETIC_SETS["(M2 x I2) + M1"]
+        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 10)
+        with pytest.raises(CapExceededError):
+            algebra_dims(mats)
+        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 12)
+        assert algebra_dims(mats) == want
+
+    def test_minimality_check_raises_over_cap(self, zx_pair, monkeypatch):
+        sys_, _, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)
+        with pytest.raises(CapExceededError):
+            minimality_check(res)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        horizon=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        limit=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    def test_random_pairs_match_oracle(self, seed, lengths, horizon, limit):
+        family = CommutingFamily(2, np.random.default_rng(seed))
+        theta, phi = (mix_of_unitaries(family, k) for k in lengths)
+        horizon = GridPoint(*horizon)
+        limit = GridPoint(min(limit[0], horizon.a), min(limit[1], horizon.b))
+        sys_, _, _, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        rep = minimality_check(res, grid_limit=limit)
+        gens = np.stack(
+            [res.alpha_corner(g, m) for g in grid_points(limit) for m in _units_of(2)]
+        )
+        assert rep.commutant_dim == len(oracle_commutant(gens))
