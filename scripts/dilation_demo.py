@@ -3,11 +3,13 @@
 
 For each pair: certify strong commutation, build the twisted product system,
 verify the covariant representation on a grid, realize the dilation space
-from the generator Gram matrix, and check the endomorphic dilation identities
-plus minimality. Prints a compact summary per pair.
+K = X(horizon) tensor H from the hat steps out of the top block, and check
+the endomorphic dilation identities plus minimality. Prints a compact summary
+per pair and exits 1 when any pair fails verification.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -59,6 +61,7 @@ def main():
     horizon = GridPoint(*args.horizon)
     margin = GridPoint(*args.margin)
 
+    all_passed = True
     for name, theta, phi in named_pairs(args.seed):
         start = time.perf_counter()
         cert = strong_commutation_certificate(theta, phi)
@@ -96,9 +99,12 @@ def main():
             f"   minimality: span {mini.span_dim}/{mini.dim_k}, "
             f"commutant dim {mini.commutant_dim}, closure dim {mini.closure_dim}"
         )
-        print(f"   verified: {ver.passed and mini.passed}   [{elapsed:.2f}s]")
+        passed = ver.passed and mini.passed
+        all_passed = all_passed and passed
+        print(f"   verified: {passed}   [{elapsed:.2f}s]")
         print()
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import chan, stochastic
 from .dilation import (
-    GramNotPSDError,
     build_big_space,
     build_dilation_space,
     lift_operators,
@@ -77,8 +76,7 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _load_channel(path: str, tol: float) -> chan.KrausFamily:
-    data = _load_json(path)
+def _channel_from(data: dict, path: str, tol: float) -> chan.KrausFamily:
     if "matrix" in data:
         raise InputError(f"{path}: stochastic matrix given where a channel was expected")
     try:
@@ -87,8 +85,7 @@ def _load_channel(path: str, tol: float) -> chan.KrausFamily:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_real_matrix(path: str):
-    data = _load_json(path)
+def _real_matrix_from(data: dict, path: str):
     if "matrix" not in data:
         raise InputError(f"{path}: expected a 'matrix' field")
     m = np.asarray(data["matrix"], dtype=float)
@@ -97,8 +94,12 @@ def _load_real_matrix(path: str):
     return m
 
 
-def _is_stochastic_file(path: str) -> bool:
-    return "matrix" in _load_json(path)
+def _load_channel(path: str, tol: float) -> chan.KrausFamily:
+    return _channel_from(_load_json(path), path, tol)
+
+
+def _load_real_matrix(path: str):
+    return _real_matrix_from(_load_json(path), path)
 
 
 def _grid(values) -> GridPoint:
@@ -151,15 +152,13 @@ def _diagonal_strong_commute(args, p, q) -> tuple[int, dict]:
 
 
 def cmd_strong_commute(args) -> tuple[int, dict]:
-    first, second = args.channels
-    if _is_stochastic_file(first) != _is_stochastic_file(second):
+    loaded = [(_load_json(path), path) for path in args.channels]
+    stochastic_flags = ["matrix" in data for data, _ in loaded]
+    if stochastic_flags[0] != stochastic_flags[1]:
         raise InputError("cannot mix a stochastic matrix with a channel")
-    if _is_stochastic_file(first):
-        return _diagonal_strong_commute(
-            args, _load_real_matrix(first), _load_real_matrix(second)
-        )
-    theta = _load_channel(first, args.tol)
-    phi = _load_channel(second, args.tol)
+    if stochastic_flags[0]:
+        return _diagonal_strong_commute(args, *(_real_matrix_from(*item) for item in loaded))
+    theta, phi = (_channel_from(data, path, args.tol) for data, path in loaded)
     try:
         cert = strong_commutation_certificate(theta, phi, args.tol)
     except NonCommutingError as exc:
@@ -300,7 +299,6 @@ def cmd_dilate(args) -> tuple[int, dict]:
             "dilation": rep.dilation_residual,
             "semigroup": rep.semigroup_residual,
             "multiplicativity": rep.multiplicativity_residual,
-            "rho": rep.rho_residual,
         },
         "p_increase_min_eig": rep.p_increase_min_eig,
         "minimality": {
@@ -382,7 +380,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         _emit({"error": str(exc)}, args.format)
         return 2
-    except (GramNotPSDError, RuntimeError) as exc:
+    except RuntimeError as exc:
         _emit({"error": f"internal verification failure: {exc}"}, args.format)
         return 2
     _emit(report, args.format)

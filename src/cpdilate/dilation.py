@@ -3,30 +3,32 @@
 The big space is the direct sum of the blocks X(g) tensor H over all grid
 points g below a horizon. The two step operators push a block down by one
 grid unit while absorbing one fiber letter through the representation; their
-adjoints push blocks up. Coisometric steps (unital maps) extend to commuting
-unitaries V on a larger space, and commuting unitaries doubly commute, which
-collapses every inner product
+adjoints push blocks up. For unital maps the steps are coisometries, and the
+minimal dilation space is the inductive limit of X(s) tensor H (Muhly and
+Solel, Internat. J. Math. 13 (2002); Shalit, Canad. Math. Bull. 53 (2010)).
+At a finite horizon that limit is reached at the top block:
 
-    < V_s (delta_s zeta), V_u (delta_u eta) >
+    K = X(horizon) tensor H.
 
-to a compression of hat-step products whose intermediate block is the join
-s v u, still inside the horizon. The Gram matrix of all formal generators
-(g, basis vector of X(g) tensor H) is therefore computed exactly on the
-finite grid, and the dilation space K, the embedding of H, the lifted
-isometries V and the endomorphism family alpha all come out of its rank
-factorization. No unitary extension is ever constructed.
+The generator at grid point s, a basis vector of X(s) tensor H, sits in K as
+a column of T_s^*, where T_s is hat_{horizon - s} restricted to the top block
+(block horizon -> block s). The factor B = [T_s^*]_s is computed in one sweep
+down from T_horizon = I; its columns span K, and B^* B is the generator Gram
+matrix of the join formula. V_g(e_w) = (L_w tensor I) T_{horizon - g} with
+L_w the left multiplication by the fiber word e_w, and alpha_g(b) sums
+V_g(e_w) b V_g(e_w)^* over words. No Gram matrix is formed and no unitary
+extension is ever constructed.
 
-Truncation bookkeeping: K is built at the horizon, while V_g and alpha_g are
-exposed only for g <= margin, where they act exactly on the span of
-generators at grid points <= horizon - g; on the orthogonal complement they
-are extended by zero through a pseudo-inverse rather than silently truncated
-into wrong values. For unital maps the generator spans increase along the
-grid, so the coisometry identity alpha_g(1) = 1 survives truncation globally;
-the isometry identity is the one that does not, and it is verified against
-the projector of the valid span (the identity on the infinite grid). On
-corner-embedded arguments alpha_g reduces to an exact generator-block
-formula valid for every g up to the horizon, which is what the minimality
-checks use.
+Truncation bookkeeping: V_g and alpha_g are exposed only for g <= margin.
+V_g acts exactly on the span of generators at grid points <= horizon - g,
+which is the range of T_{horizon - g}^*, and vanishes on its orthogonal
+complement rather than being silently truncated into wrong values. For
+unital maps the generator spans increase along the grid, so the coisometry
+identity alpha_g(1) = 1 survives truncation globally; the isometry identity
+is the one that does not, and it is verified against the projector of the
+valid span (the identity on the infinite grid). On corner-embedded arguments
+alpha_g reduces to an exact generator-block formula valid for every g up to
+the horizon, which is what the minimality checks use.
 """
 
 from __future__ import annotations
@@ -35,40 +37,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chan import KrausFamily, apply_kraus, classify
-from .linalg import Array, CapExceededError, dagger, fro, hermitize, pinv_psd
+from .chan import KrausFamily, classify
+from .linalg import Array, CapExceededError, dagger, fro, hermitize
 from .prodsys import (
     E_STEP,
     F_STEP,
     ZERO,
     GridPoint,
     TwistedProductSystem,
+    _iterated_map,
     _matrix_units,
-    _sort_word,
     grid_points,
-    join,
     product_unitary,
     representation_matrix,
-    split_difference,
 )
 
 DEFAULT_PSD_TOL = 1e-10
-DEFAULT_RANK_REL = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
 
 
 class OutOfHorizonError(ValueError):
     pass
-
-
-class GramNotPSDError(RuntimeError):
-    def __init__(self, min_eig: float):
-        self.min_eig = min_eig
-        super().__init__(
-            f"Gram matrix has eigenvalue {min_eig:.3e}; "
-            "this signals a bug or an invalid certificate upstream"
-        )
 
 
 @dataclass(frozen=True)
@@ -85,17 +75,15 @@ class BigSpace:
 
 
 class HatSemigroup:
-    """Block maps of the contraction semigroup on the big space.
+    """Unit steps of the contraction semigroup on the big space.
 
-    blocks(g)[t] maps block t down to block t - g; everything below the
-    horizon stays below it, so compositions are exact. The canonical
-    composition order applies all (1,0) steps first.
+    _step(t, step) maps block t down to block t - step; products of steps
+    give the hat maps hat_g, and everything below the horizon stays below it.
     """
 
     def __init__(self, sys: TwistedProductSystem, big: BigSpace):
         self.sys = sys
         self.big = big
-        self._cache: dict = {}
 
     def _step(self, t: GridPoint, step: GridPoint) -> Array:
         sys, n = self.sys, self.sys.dim_h
@@ -105,65 +93,6 @@ class HatSemigroup:
         return np.kron(np.eye(sys.fiber_dim(base), dtype=complex), rep) @ np.kron(
             dagger(u), np.eye(n, dtype=complex)
         )
-
-    def blocks(self, g: GridPoint) -> dict:
-        if g in self._cache:
-            return self._cache[g]
-        if g == ZERO:
-            out = {
-                t: np.eye(self.big.dims[t], dtype=complex)
-                for t in self.big.points
-            }
-        else:
-            step = E_STEP if g.a > 0 else F_STEP
-            prev = self.blocks(g - step)
-            out = {}
-            for t in self.big.points:
-                if not g <= t:
-                    continue
-                out[t] = prev[t - step] @ self._step(t, step)
-        self._cache[g] = out
-        return out
-
-    def direct_blocks(self, g: GridPoint) -> dict:
-        """Single-shot definition (decompose X(t) as X(t-g) tensor X(g)).
-
-        Agrees with blocks(g); kept as an independent route for tests.
-        """
-        sys, n = self.sys, self.sys.dim_h
-        rep = representation_matrix(sys, g)
-        out = {}
-        for t in self.big.points:
-            if not g <= t:
-                continue
-            base = t - g
-            u = product_unitary(sys, base, g)
-            out[t] = np.kron(np.eye(sys.fiber_dim(base), dtype=complex), rep) @ np.kron(
-                dagger(u), np.eye(n, dtype=complex)
-            )
-        return out
-
-    def matrix(self, g: GridPoint) -> Array:
-        """Full big-space matrix of the g step."""
-        big = self.big
-        out = np.zeros((big.total_dim, big.total_dim), dtype=complex)
-        for t, m in self.blocks(g).items():
-            out[big.block_slice(t - g), big.block_slice(t)] = m
-        return out
-
-    def coisometry_residual(self, s: GridPoint) -> float:
-        """max over blocks t with t + s <= horizon of || hat_s hat_s^* - I ||_F.
-
-        The restriction is the truncation-aware one: the adjoint pushes block
-        t up to t + s, which must stay on the grid.
-        """
-        worst = 0.0
-        blocks = self.blocks(s)
-        for t in self.big.points:
-            if t + s <= self.big.horizon:
-                m = blocks[t + s]
-                worst = max(worst, fro(m @ dagger(m) - np.eye(m.shape[0])))
-        return worst
 
 
 def build_big_space(
@@ -184,62 +113,53 @@ def build_big_space(
 
 @dataclass(frozen=True)
 class DilationSpace:
-    """Gram realization of the dilation space K at a finite horizon."""
+    """The dilation space K = X(horizon) tensor H at a finite horizon."""
 
     big: BigSpace
     margin: GridPoint
-    gram: Array
-    factor: Array          # dim_k x total_dim; gram = factor^* factor
+    factor: Array          # dim_k x total_dim; block s is T_s^*
     dim_k: int
     embed_h: Array         # dim_k x n isometry, the copy of H at grid point 0
-    gram_min_eig: float
-    kept_min: float        # smallest retained Gram eigenvalue
-    dropped_max: float     # largest discarded Gram eigenvalue (0.0 if none)
+    gram_min_eig: float    # smallest eigenvalue of the Gram matrix factor^* factor
+    kept_min: float        # smallest eigenvalue of factor factor^*
+    dropped_max: float     # always 0.0: no direction of K is dropped
 
     @property
     def horizon(self) -> GridPoint:
         return self.big.horizon
-
-    def generators(self) -> list[tuple[GridPoint, int]]:
-        return [(g, i) for g in self.big.points for i in range(self.big.dims[g])]
-
-    def generator_indices(self, limit: GridPoint) -> np.ndarray:
-        """Column indices of all generators at grid points <= limit."""
-        idx: list[int] = []
-        for g in self.big.points:
-            if g <= limit:
-                sl = self.big.block_slice(g)
-                idx.extend(range(sl.start, sl.stop))
-        return np.asarray(idx, dtype=int)
 
     def factor_block(self, g: GridPoint) -> Array:
         """K-coordinates of the generators at grid point g (an isometry)."""
         return self.factor[:, self.big.block_slice(g)]
 
     def span_projector(self, limit: GridPoint) -> Array:
-        """Orthogonal projector onto the span of generators at points <= limit."""
-        idx = self.generator_indices(limit)
-        f_in = self.factor[:, idx]
-        g_in = self.gram[np.ix_(idx, idx)]
-        return f_in @ pinv_psd(g_in) @ dagger(f_in)
+        """Orthogonal projector onto the span of generators at points <= limit.
+
+        Read off the generator columns themselves, not off the closed form
+        T_limit^* T_limit, so that a check against it stays independent of
+        the lift.
+        """
+        cover = sum(
+            f @ dagger(f)
+            for f in (self.factor_block(g) for g in self.big.points if g <= limit)
+        )
+        w, v = np.linalg.eigh(hermitize(cover))
+        kept = v[:, w > 1e-10 * w[-1]]
+        return kept @ dagger(kept)
 
 
-def build_dilation_space(
-    big: BigSpace,
-    hat: HatSemigroup,
-    margin: GridPoint,
-    tol: float = DEFAULT_PSD_TOL,
-    rank_rel: float = DEFAULT_RANK_REL,
-) -> DilationSpace:
-    """Assemble the generator Gram matrix and rank-factorize it.
+def build_dilation_space(big: BigSpace, hat: HatSemigroup, margin: GridPoint) -> DilationSpace:
+    """Realize K = X(horizon) tensor H and the K-coordinates of every generator.
 
-    Entry for generators p = (s, zeta), q = (u, eta):
+    Block s of the factor is T_s^* with T_s = hat_{horizon - s} on the top
+    block, found from T_horizon = I by one unit step per grid point:
 
-        gram[p, q] = < zeta, hat_{(u-s)_+} hat_{(u-s)_-}^* eta >
+        T_s^* = T_{s + step}^* _step(s + step, step)^*.
 
-    evaluated blockwise through the join s v u. Requires both maps unital
-    (the coisometric case); otherwise the reduction to hat products is not
-    available and the Gram values would be wrong, not merely approximate.
+    Each point steps up in the (0,1) direction while it can, so the path
+    down from the top applies all (1,0) steps first. Requires both maps unital
+    (the coisometric case); otherwise K is not the top block and the factor
+    would be wrong, not merely approximate.
     """
     sys = hat.sys
     if not (margin <= big.horizon):
@@ -248,36 +168,28 @@ def build_dilation_space(
         if not classify(fam, _UNITAL_GUARD).is_unital:
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
-    gram = np.zeros((big.total_dim, big.total_dim), dtype=complex)
-    for s in big.points:
-        for u in big.points:
-            plus, minus = split_difference(u, s)
-            j = join(s, u)
-            m_plus = hat.blocks(plus)[j]     # block j -> s
-            m_minus = hat.blocks(minus)[j]   # block j -> u
-            gram[big.block_slice(s), big.block_slice(u)] = m_plus @ dagger(m_minus)
-    gram = hermitize(gram)
+    top = big.horizon
+    dim_k = big.dims[top]
+    factor = np.zeros((dim_k, big.total_dim), dtype=complex)
+    factor[:, big.block_slice(top)] = np.eye(dim_k)
+    for s in reversed(big.points):  # s + step always comes first
+        if s == top:
+            continue
+        step = F_STEP if s.b < top.b else E_STEP
+        above = factor[:, big.block_slice(s + step)]
+        factor[:, big.block_slice(s)] = above @ dagger(hat._step(s + step, step))
 
-    w, v = np.linalg.eigh(gram)
-    min_eig = float(w[0])
-    if min_eig < -tol:
-        raise GramNotPSDError(min_eig)
-    top = float(w[-1])
-    keep = w > rank_rel * top
-    kept = w[keep]
-    dropped = w[~keep]
-    factor = (np.sqrt(kept)[:, None] * dagger(v[:, keep]))[::-1]  # descending order
-    embed = factor[:, big.block_slice(ZERO)]
+    kept_min = float(np.linalg.eigvalsh(hermitize(factor @ dagger(factor)))[0])
     return DilationSpace(
         big=big,
         margin=margin,
-        gram=gram,
         factor=factor,
-        dim_k=int(kept.size),
-        embed_h=embed,
-        gram_min_eig=min_eig,
-        kept_min=float(kept.min()) if kept.size else 0.0,
-        dropped_max=float(dropped.max()) if dropped.size else 0.0,
+        dim_k=dim_k,
+        embed_h=factor[:, big.block_slice(ZERO)],
+        # B^* B has the spectrum of B B^* plus total_dim - dim_k zeros.
+        gram_min_eig=0.0 if big.total_dim > dim_k else kept_min,
+        kept_min=kept_min,
+        dropped_max=0.0,
     )
 
 
@@ -289,10 +201,6 @@ class EDilationResult:
     sys: TwistedProductSystem
     v_blocks: dict                      # g -> list of dim_k x dim_k matrices, one per word
     p: Array                            # embed_h embed_h^*, the projection onto H
-
-    def rho(self, a: complex) -> Array:
-        """Commutant action; the commutant of B(H) is scalar."""
-        return complex(a) * np.eye(self.dsp.dim_k, dtype=complex)
 
     def v_matrix(self, g: GridPoint, coords: Array) -> Array:
         """V_g(x) for a fiber vector x with the given coordinates."""
@@ -334,56 +242,22 @@ class EDilationResult:
 
 
 def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationResult:
-    """Transport the shift action on generators through the Gram factorization.
+    """V_g(e_w) = (L_w tensor I_n) T_{horizon - g} for every g <= margin.
 
-    V_g(x) sends the generator (u, zeta tensor h) to (g + u, (x . zeta) tensor h)
-    for u <= horizon - g; the pseudo-inverse of the restricted factor extends
-    it by zero off that span.
+    L_w : X(horizon - g) -> X(horizon) multiplies by the fiber word e_w on
+    the left, so V_g(e_w) sends the generator (u, zeta tensor h) to
+    (g + u, (e_w . zeta) tensor h) for u <= horizon - g, and vanishes off the
+    range of T_{horizon - g}^*, the span of those generators.
     """
-    big = dsp.big
-    n = sys.dim_h
-    big_points = set(big.points)
+    n, k, top = sys.dim_h, dsp.dim_k, dsp.horizon
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
-        inner_limit = big.horizon - g
-        idx = dsp.generator_indices(inner_limit)
-        f_in = dsp.factor[:, idx]
-        g_in = dsp.gram[np.ix_(idx, idx)]
-        pinv_map = pinv_psd(g_in) @ dagger(f_in)  # K -> inner generator coordinates
-
-        # Column offsets of each inner block inside the restricted index set.
-        inner_offsets = {}
-        running = 0
-        for u in big.points:
-            if u <= inner_limit:
-                inner_offsets[u] = running
-                running += big.dims[u]
-
-        fd_g = sys.fiber_dim(g)
-        mats = []
-        layout_of = {
-            u: ["E"] * g.a + ["F"] * g.b + ["E"] * u.a + ["F"] * u.b
-            for u in big.points
-            if u <= inner_limit
-        }
-        for w in range(fd_g):
-            e_w = np.zeros(fd_g, dtype=complex)
-            e_w[w] = 1.0
-            shift = np.zeros((big.total_dim, running), dtype=complex)
-            for u in big.points:
-                if not u <= inner_limit:
-                    continue
-                target = g + u
-                assert target in big_points
-                fd_u = sys.fiber_dim(u)
-                raw = np.kron(e_w.reshape(-1, 1), np.eye(fd_u, dtype=complex))
-                sorted_cols = _sort_word(sys, raw, layout_of[u])
-                block = np.kron(sorted_cols, np.eye(n, dtype=complex))
-                rows = big.block_slice(target)
-                cols = slice(inner_offsets[u], inner_offsets[u] + big.dims[u])
-                shift[rows, cols] = block
-            mats.append(dsp.factor @ shift @ pinv_map)
-        v_blocks[g] = mats
+        rest = top - g
+        fd_top, fd_g, fd_rest = (sys.fiber_dim(x) for x in (top, g, rest))
+        # Column block w of the product map X(g) tensor X(rest) -> X(top) is L_w.
+        left = product_unitary(sys, g, rest).reshape(fd_top, fd_g, fd_rest).transpose(1, 0, 2)
+        t_rest = dagger(dsp.factor_block(rest)).reshape(fd_rest, n * k)
+        v_blocks[g] = list((left @ t_rest).reshape(fd_g, fd_top * n, k))
     p = dsp.embed_h @ dagger(dsp.embed_h)
     return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks, p=p)
 
@@ -398,7 +272,6 @@ class DilationReport:
     dilation_residual: float
     semigroup_residual: float
     multiplicativity_residual: float
-    rho_residual: float
     p_increase_min_eig: float
     tol: float
     psd_floor: float
@@ -411,22 +284,12 @@ class DilationReport:
             self.dilation_residual,
             self.semigroup_residual,
             self.multiplicativity_residual,
-            self.rho_residual,
         )
         return (
             worst <= self.tol
             and self.gram_min_eig >= -self.psd_floor
             and self.p_increase_min_eig >= -self.psd_floor
         )
-
-
-def _iterated(theta: KrausFamily, phi: KrausFamily, g: GridPoint, x: Array) -> Array:
-    out = np.asarray(x, dtype=complex)
-    for _ in range(g.b):
-        out = apply_kraus(phi, out)
-    for _ in range(g.a):
-        out = apply_kraus(theta, out)
-    return out
 
 
 def verify_e_dilation(
@@ -464,7 +327,7 @@ def verify_e_dilation(
     p_min = 0.0
     for g in pts:
         for x in units:
-            lhs = _iterated(theta, phi, g, x)
+            lhs = _iterated_map(theta, phi, g, x)
             rhs = res.compress(res.alpha(g, res.embed(x)))
             dil = max(dil, fro(lhs - rhs))
         for x in units:
@@ -492,14 +355,6 @@ def verify_e_dilation(
                 rhs = res.alpha(g + h, res.embed(x))
                 semi = max(semi, fro(lhs - rhs))
 
-    rho = 0.0
-    for g in pts:
-        mats = res.v_blocks_for(g)
-        for c in (1.0, 0.5 + 0.25j):
-            r = res.rho(c)
-            for v in mats:
-                rho = max(rho, fro(r @ v - v * c), fro(r @ v - v @ r))
-
     return DilationReport(
         grid_limit=grid_limit,
         dim_k=dsp.dim_k,
@@ -509,7 +364,6 @@ def verify_e_dilation(
         dilation_residual=dil,
         semigroup_residual=semi,
         multiplicativity_residual=mult,
-        rho_residual=rho,
         p_increase_min_eig=p_min,
         tol=tol,
         psd_floor=psd_floor,

@@ -91,20 +91,6 @@ def complete_orthonormal(cols: Array, dim: int, tol: float = 1e-7) -> Array:
     return np.column_stack(extra)
 
 
-def pinv_psd(g: Array, rel_tol: float = 1e-10) -> Array:
-    """Pseudo-inverse of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues at or below rel_tol times the largest are treated as zero.
-    """
-    w, v = np.linalg.eigh(hermitize(g))
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(g)
-    keep = w > rel_tol * top
-    vk = v[:, keep]
-    return (vk / w[keep]) @ dagger(vk)
-
-
 def rotation_taking(v: Array, w: Array) -> Array:
     """Orthogonal map sending unit vector v to unit vector w.
 

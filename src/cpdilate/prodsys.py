@@ -74,18 +74,6 @@ def grid_points(horizon: GridPoint) -> list[GridPoint]:
     return [GridPoint(a, b) for a in range(horizon.a + 1) for b in range(horizon.b + 1)]
 
 
-def join(s: GridPoint, u: GridPoint) -> GridPoint:
-    return GridPoint(max(s.a, u.a), max(s.b, u.b))
-
-
-def split_difference(u: GridPoint, s: GridPoint) -> tuple[GridPoint, GridPoint]:
-    """Positive and negative parts of u - s, both grid points."""
-    d = (u.a - s.a, u.b - s.b)
-    plus = GridPoint(max(d[0], 0), max(d[1], 0))
-    minus = GridPoint(max(-d[0], 0), max(-d[1], 0))
-    return plus, minus
-
-
 @dataclass(frozen=True)
 class TwistedProductSystem:
     dim_h: int
@@ -237,11 +225,9 @@ def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array
     return rep @ np.kron(x.coords.reshape(-1, 1), np.eye(n, dtype=complex))
 
 
-def _iterated_map(sys: TwistedProductSystem, g: GridPoint, x: Array) -> Array:
+def _iterated_map(theta: KrausFamily, phi: KrausFamily, g: GridPoint, x: Array) -> Array:
     """Theta^a(Phi^b(x)) computed by repeated Kraus application."""
     out = np.asarray(x, dtype=complex)
-    phi = sys.phi()
-    theta = sys.theta()
     for _ in range(g.b):
         out = apply_kraus(phi, out)
     for _ in range(g.a):
@@ -281,7 +267,8 @@ def verify_representation(
             )
     reps = {g: representation_matrix(sys, g) for g in grid_points(horizon)}
 
-    unital = classify(sys.theta(), tol).is_unital and classify(sys.phi(), tol).is_unital
+    theta, phi = sys.theta(), sys.phi()
+    unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
     units = _matrix_units(n)
 
     ident = 0.0
@@ -290,7 +277,7 @@ def verify_representation(
         fd = sys.fiber_dim(g)
         for x in units:
             lhs = rep @ np.kron(np.eye(fd, dtype=complex), x) @ dagger(rep)
-            ident = max(ident, fro(lhs - _iterated_map(sys, g, x)))
+            ident = max(ident, fro(lhs - _iterated_map(theta, phi, g, x)))
         if unital:
             coiso = max(coiso, fro(rep @ dagger(rep) - np.eye(n)))
 

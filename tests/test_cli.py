@@ -184,6 +184,21 @@ class TestErrors:
         code, rep = run_cli("classify", "/nonexistent/channel.json")
         assert code == 2
 
+    def test_strong_commute_reads_each_file_once(self, monkeypatch):
+        from cpdilate import cli
+
+        calls = []
+        load = cli._load_json
+        monkeypatch.setattr(cli, "_load_json", lambda path: calls.append(path) or load(path))
+        for pair in (
+            ("channel_conj_z.json", "channel_conj_x.json"),
+            ("stochastic_p_3x3.json", "stochastic_q_3x3.json"),
+        ):
+            calls.clear()
+            code, rep = run_cli("strong-commute", *(str(FIXTURES / f) for f in pair))
+            assert code in (0, 1) and "error" not in rep
+            assert len(calls) == 2
+
     def test_mixed_input_types_exit_two(self, tmp_path):
         ch = write_channel(tmp_path, "c.json", identity_channel(2))
         code, rep = run_cli(

@@ -41,9 +41,11 @@ class TestDeterminism:
             sys_ = build_product_system(*corner_pair, cert)
             big, hat = build_big_space(sys_, GridPoint(2, 2))
             dsp = build_dilation_space(big, hat, GridPoint(1, 1))
-            outs.append(dsp)
-        assert np.array_equal(outs[0].gram, outs[1].gram)
-        assert np.array_equal(outs[0].factor, outs[1].factor)
+            outs.append(lift_operators(dsp, sys_))
+        assert np.array_equal(outs[0].dsp.factor, outs[1].dsp.factor)
+        assert outs[0].v_blocks.keys() == outs[1].v_blocks.keys()
+        for g, mats in outs[0].v_blocks.items():
+            assert all(np.array_equal(a, b) for a, b in zip(mats, outs[1].v_blocks[g]))
 
     def test_choi_to_kraus_bit_identical(self, rng):
         choi = kraus_to_choi(mix_of_unitaries(CommutingFamily(2, rng), 3))

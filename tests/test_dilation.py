@@ -19,11 +19,27 @@ from cpdilate.dilation import (
     minimality_check,
     verify_e_dilation,
 )
-from cpdilate.linalg import dagger, fro
-from cpdilate.prodsys import GridPoint, build_product_system, grid_points
+from cpdilate.linalg import dagger, fro, hermitize
+from cpdilate.prodsys import (
+    E_STEP,
+    F_STEP,
+    ZERO,
+    GridPoint,
+    build_product_system,
+    grid_points,
+    product_unitary,
+    representation_matrix,
+)
 from cpdilate.strongcomm import strong_commutation_certificate
 
-from conftest import CommutingFamily, mix_of_unitaries, random_unitary
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    CommutingFamily,
+    corner_collapse_channel,
+    mix_of_unitaries,
+    random_unitary,
+)
 
 
 def make_system(theta, phi):
@@ -38,6 +54,155 @@ def pipeline(theta, phi, horizon, margin):
     return sys_, big, hat, dsp
 
 
+class HatOracle:
+    """Full block maps of the hat semigroup, for checks against the library.
+
+    blocks(g)[t] maps block t down to block t - g; everything below the
+    horizon stays below it, so compositions are exact. The canonical
+    composition order applies all (1,0) steps first.
+    """
+
+    def __init__(self, hat):
+        self.hat = hat
+        self.sys = hat.sys
+        self.big = hat.big
+        self._cache: dict = {}
+
+    def blocks(self, g: GridPoint) -> dict:
+        if g in self._cache:
+            return self._cache[g]
+        if g == ZERO:
+            out = {
+                t: np.eye(self.big.dims[t], dtype=complex)
+                for t in self.big.points
+            }
+        else:
+            step = E_STEP if g.a > 0 else F_STEP
+            prev = self.blocks(g - step)
+            out = {}
+            for t in self.big.points:
+                if not g <= t:
+                    continue
+                out[t] = prev[t - step] @ self.hat._step(t, step)
+        self._cache[g] = out
+        return out
+
+    def direct_blocks(self, g: GridPoint) -> dict:
+        """Single-shot definition (decompose X(t) as X(t-g) tensor X(g)).
+
+        Agrees with blocks(g); an independent route.
+        """
+        sys, n = self.sys, self.sys.dim_h
+        rep = representation_matrix(sys, g)
+        out = {}
+        for t in self.big.points:
+            if not g <= t:
+                continue
+            base = t - g
+            u = product_unitary(sys, base, g)
+            out[t] = np.kron(np.eye(sys.fiber_dim(base), dtype=complex), rep) @ np.kron(
+                dagger(u), np.eye(n, dtype=complex)
+            )
+        return out
+
+    def matrix(self, g: GridPoint) -> np.ndarray:
+        """Full big-space matrix of the g step."""
+        big = self.big
+        out = np.zeros((big.total_dim, big.total_dim), dtype=complex)
+        for t, m in self.blocks(g).items():
+            out[big.block_slice(t - g), big.block_slice(t)] = m
+        return out
+
+    def coisometry_residual(self, s: GridPoint) -> float:
+        """max over blocks t with t + s <= horizon of || hat_s hat_s^* - I ||_F.
+
+        The restriction is the truncation-aware one: the adjoint pushes block
+        t up to t + s, which must stay on the grid.
+        """
+        worst = 0.0
+        blocks = self.blocks(s)
+        for t in self.big.points:
+            if t + s <= self.big.horizon:
+                m = blocks[t + s]
+                worst = max(worst, fro(m @ dagger(m) - np.eye(m.shape[0])))
+        return worst
+
+
+def join(s: GridPoint, u: GridPoint) -> GridPoint:
+    return GridPoint(max(s.a, u.a), max(s.b, u.b))
+
+
+def split_difference(u: GridPoint, s: GridPoint) -> tuple[GridPoint, GridPoint]:
+    """Positive and negative parts of u - s, both grid points."""
+    d = (u.a - s.a, u.b - s.b)
+    plus = GridPoint(max(d[0], 0), max(d[1], 0))
+    minus = GridPoint(max(-d[0], 0), max(-d[1], 0))
+    return plus, minus
+
+
+def oracle_gram(big, hat):
+    """Generator Gram matrix from the join formula.
+
+    Entry for generators p = (s, zeta), q = (u, eta):
+
+        gram[p, q] = < zeta, hat_{(u-s)_+} hat_{(u-s)_-}^* eta >
+
+    evaluated blockwise through the join s v u; exact for unital maps,
+    where commuting unitary dilations of the hat steps doubly commute.
+    """
+    blocks = HatOracle(hat).blocks
+    gram = np.zeros((big.total_dim, big.total_dim), dtype=complex)
+    for s in big.points:
+        for u in big.points:
+            plus, minus = split_difference(u, s)
+            j = join(s, u)
+            m_plus = blocks(plus)[j]     # block j -> s
+            m_minus = blocks(minus)[j]   # block j -> u
+            gram[big.block_slice(s), big.block_slice(u)] = m_plus @ dagger(m_minus)
+    return hermitize(gram)
+
+
+def assert_factor_matches_oracle(big, hat, dsp):
+    """factor^* factor is the join-formula Gram matrix, of rank dim K, and
+    block s of the factor is (hat_{horizon - s} on the top block)^*.
+
+    Returns the Gram matrix.
+    """
+    gram = oracle_gram(big, hat)
+    assert fro(dagger(dsp.factor) @ dsp.factor - gram) <= 1e-12 * fro(gram)
+    assert np.linalg.matrix_rank(gram) == dsp.dim_k
+    blocks = HatOracle(hat).blocks
+    for s in big.points:
+        t_s = blocks(big.horizon - s)[big.horizon]
+        assert fro(dagger(dsp.factor_block(s)) - t_s) < 1e-12
+    return gram
+
+
+def named_pair(name):
+    family = CommutingFamily(2, np.random.default_rng(5))
+    if name == "identity":
+        return identity_channel(2), identity_channel(2)
+    if name == "zx":
+        return KrausFamily(2, (PAULI_Z,)), KrausFamily(2, (PAULI_X,))
+    if name == "corner":
+        return corner_collapse_channel(), identity_channel(2)
+    if name == "mix/conj":
+        return mix_of_unitaries(family, 2), KrausFamily(2, (family.member(),))
+    return mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
+
+
+ORACLE_CASES = [
+    ("identity", (2, 2)),
+    ("zx", (3, 3)),
+    ("corner", (2, 0)),
+    ("corner", (2, 1)),
+    ("corner", (3, 1)),
+    ("corner", (2, 2)),
+    ("mix/conj", (3, 3)),
+    ("mix/mix", (3, 3)),
+]
+
+
 @pytest.fixture
 def scalar_identity_pipeline():
     theta = identity_channel(1)
@@ -48,7 +213,7 @@ class TestBigSpace:
     def test_identity_pair_shift_structure(self, scalar_identity_pipeline):
         sys_, big, hat, _ = scalar_identity_pipeline
         assert big.total_dim == 9  # nine one-dimensional blocks
-        step = hat.matrix(GridPoint(1, 0))
+        step = HatOracle(hat).matrix(GridPoint(1, 0))
         # delta_t |-> delta_{t-(1,0)}: a pure block shift with unit entries.
         for t in big.points:
             if t.a >= 1:
@@ -61,7 +226,7 @@ class TestBigSpace:
         theta, phi = zx_pair
         sys_, big, hat, _ = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
         assert all(big.dims[g] == 2 for g in big.points)
-        blocks = hat.blocks(GridPoint(1, 0))
+        blocks = HatOracle(hat).blocks(GridPoint(1, 0))
         for t, m in blocks.items():
             # Conjugation word Z, twisted by (-1) for each F letter it passes.
             assert fro(m - (-1.0) ** t.b * theta.ops[0]) < 1e-12
@@ -74,7 +239,7 @@ class TestBigSpace:
     def test_coisometry_on_interior_blocks(self, corner_pair):
         sys_, big, hat, _ = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
         for step in (GridPoint(1, 0), GridPoint(0, 1), GridPoint(1, 1)):
-            assert hat.coisometry_residual(step) < 1e-12
+            assert HatOracle(hat).coisometry_residual(step) < 1e-12
 
     def test_steps_commute(self, rng):
         family = CommutingFamily(2, rng)
@@ -82,8 +247,9 @@ class TestBigSpace:
             mix_of_unitaries(family, 2), mix_of_unitaries(family, 2),
             GridPoint(2, 2), GridPoint(1, 1),
         )
-        a = hat.matrix(GridPoint(1, 0))
-        b = hat.matrix(GridPoint(0, 1))
+        oracle = HatOracle(hat)
+        a = oracle.matrix(GridPoint(1, 0))
+        b = oracle.matrix(GridPoint(0, 1))
         assert fro(a @ b - b @ a) < 1e-12
 
     def test_composed_equals_direct_definition(self, rng):
@@ -94,9 +260,10 @@ class TestBigSpace:
             mix_of_unitaries(family, 2), mix_of_unitaries(family, 2),
             GridPoint(2, 2), GridPoint(1, 1),
         )
+        oracle = HatOracle(hat)
         for g in (GridPoint(2, 1), GridPoint(1, 1), GridPoint(2, 2)):
-            composed = hat.blocks(g)
-            direct = hat.direct_blocks(g)
+            composed = oracle.blocks(g)
+            direct = oracle.direct_blocks(g)
             assert set(composed) == set(direct)
             worst = max(fro(composed[t] - direct[t]) for t in composed)
             assert worst < 1e-10
@@ -106,7 +273,7 @@ class TestDilationSpace:
     def test_identity_pair_collapses_to_h(self, scalar_identity_pipeline):
         _, big, hat, dsp = scalar_identity_pipeline
         assert dsp.dim_k == 1
-        assert np.allclose(dsp.gram, np.ones((9, 9)))
+        assert np.allclose(oracle_gram(big, hat), np.ones((9, 9)))
         assert fro(dagger(dsp.embed_h) @ dsp.embed_h - np.eye(1)) < 1e-12
 
     def test_zx_pair_dilation_is_itself(self, zx_pair):
@@ -115,16 +282,29 @@ class TestDilationSpace:
         assert dsp.gram_min_eig > -1e-10
 
     def test_corner_pair_proper_dilation_rank_pinned(self, corner_pair):
-        # Rank from the eigendecomposition oracle, frozen as a regression value.
+        # dim X(2,0) * n = 8, frozen as a regression value.
         _, _, _, dsp = pipeline(*corner_pair, GridPoint(2, 0), GridPoint(1, 0))
         assert dsp.dim_k == 8
         assert dsp.dim_k > 2
 
     def test_gram_diagonal_blocks_are_identities(self, corner_pair):
-        _, big, _, dsp = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
+        _, big, hat, _ = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
+        gram = oracle_gram(big, hat)
         for g in big.points:
             sl = big.block_slice(g)
-            assert fro(dsp.gram[sl, sl] - np.eye(big.dims[g])) < 1e-12
+            assert fro(gram[sl, sl] - np.eye(big.dims[g])) < 1e-12
+
+    @pytest.mark.parametrize("name, horizon", ORACLE_CASES)
+    def test_factor_matches_oracle_gram(self, name, horizon):
+        horizon = GridPoint(*horizon)
+        margin = GridPoint(min(horizon.a, 1), min(horizon.b, 1))
+        _, big, hat, dsp = pipeline(*named_pair(name), horizon, margin)
+        assert dsp.dim_k == big.dims[horizon]
+        gram = assert_factor_matches_oracle(big, hat, dsp)
+        # factor factor^* carries the nonzero spectrum of the Gram matrix.
+        gram_eigs = np.linalg.eigvalsh(gram)
+        assert abs(dsp.kept_min - gram_eigs[-dsp.dim_k]) < 1e-10 * gram_eigs[-1]
+        assert dsp.gram_min_eig == 0.0 and dsp.dropped_max == 0.0
 
     def test_embed_is_isometry(self, corner_pair):
         _, _, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
@@ -167,6 +347,35 @@ class TestLiftedOperators:
                 got = dagger(e) @ res.alpha(g, e @ x @ dagger(e)) @ e
                 assert fro(got - word @ x @ dagger(word)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["corner", "mix/mix"])
+    def test_lift_shifts_generators(self, name):
+        # V_g(e_w) sends the generator (u, zeta tensor h) to
+        # (g + u, (e_w . zeta) tensor h) for every u <= horizon - g.
+        sys_, _, _, dsp = pipeline(*named_pair(name), GridPoint(2, 2), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        n = sys_.dim_h
+        for g in grid_points(dsp.margin):
+            for u in grid_points(dsp.horizon - g):
+                mult = product_unitary(sys_, g, u)
+                fd_u = sys_.fiber_dim(u)
+                for w, v in enumerate(res.v_blocks_for(g)):
+                    left = np.kron(mult[:, w * fd_u:(w + 1) * fd_u], np.eye(n))
+                    want = dsp.factor_block(g + u) @ left
+                    assert fro(v @ dsp.factor_block(u) - want) < 1e-12
+
+    def test_mix_pair_at_dim_k_512(self):
+        # N = 1922 generators and dim K = 512: nothing of size N x N may be formed.
+        family = CommutingFamily(2, np.random.default_rng(5))
+        theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
+        sys_ = make_system(theta, phi)
+        start = time.perf_counter()
+        big, hat = build_big_space(sys_, GridPoint(4, 4))
+        dsp = build_dilation_space(big, hat, GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        assert time.perf_counter() - start < 3.0
+        assert big.total_dim == 1922 and dsp.dim_k == 512
+        assert len(res.v_blocks_for(GridPoint(1, 1))) == 4
+
     def test_out_of_margin_rejected(self, corner_pair):
         sys_, _, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
@@ -176,7 +385,7 @@ class TestLiftedOperators:
             res.alpha_corner(GridPoint(3, 0), np.eye(2))
 
     def test_alpha_routes_agree_on_embedded_arguments(self, corner_pair):
-        # Pseudo-inverse route vs exact generator-block route.
+        # Lifted V_g route vs exact generator-block route.
         sys_, _, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
         rng = np.random.default_rng(3)
@@ -442,7 +651,8 @@ class TestCommutant:
         theta, phi = (mix_of_unitaries(family, k) for k in lengths)
         horizon = GridPoint(*horizon)
         limit = GridPoint(min(limit[0], horizon.a), min(limit[1], horizon.b))
-        sys_, _, _, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
+        sys_, big, hat, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
+        assert_factor_matches_oracle(big, hat, dsp)
         res = lift_operators(dsp, sys_)
         rep = minimality_check(res, grid_limit=limit)
         gens = np.stack(

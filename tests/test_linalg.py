@@ -8,7 +8,6 @@ from cpdilate.linalg import (
     complete_orthonormal,
     dagger,
     fro,
-    pinv_psd,
     rotation_taking,
     unvec,
     vec,
@@ -55,16 +54,6 @@ class TestCompletion:
         cols = np.eye(2, dtype=complex)
         with pytest.raises(CompletionError):
             complete_orthonormal(np.hstack([cols, cols]), 2)
-
-
-class TestPinvPsd:
-    def test_inverse_on_range(self):
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(4, 2))
-        g = b @ b.T
-        pg = pinv_psd(g)
-        assert fro(g @ pg @ g - g) < 1e-10
-        assert fro(pg @ g @ pg - pg) < 1e-10
 
 
 class TestRotation:
