@@ -5,8 +5,11 @@ Conventions:
 * A map acts as a |-> sum_i T_i a T_i^*.
 * vec() is column-stacking, so the superoperator is sum_i conj(T_i) tensor T_i
   acting on vec(a).
-* The Choi matrix is sum_i vec(T_i) vec(T_i)^*; it is PSD exactly when the map
-  is completely positive.
+* The Choi matrix is sum_i vec(T_i) vec(T_i)^* = M M^*, with M the n^2 x L
+  matrix of columns vec(T_i); it is PSD exactly when the map is completely
+  positive, and it does not depend on the order of the Kraus operators. The
+  superoperator is an entry permutation (reshuffle) of the Choi matrix, so
+  both are computed from one GEMM and have equal Frobenius distances.
 * Unital means sum_i T_i T_i^* = I; contractive means sum_i T_i T_i^* <= I.
 
 Everything here is a pure function over immutable inputs; identical inputs
@@ -21,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     Array,
     complete_orthonormal,
     dagger,
@@ -32,8 +36,6 @@ from .linalg import (
     unvec,
     vec,
 )
-
-DEFAULT_TOL = 1e-9
 
 # Structural guard at construction; predicates use the caller's tolerance.
 _CONTRACTIVITY_GUARD = 1e-7
@@ -131,14 +133,15 @@ def pad(k: KrausFamily, length: int) -> KrausFamily:
     return KrausFamily(k.dim, k.ops + (z,) * (length - len(k)))
 
 
+def _kraus_matrix(k: KrausFamily) -> Array:
+    """The n^2 x L matrix M whose i-th column is vec(T_i)."""
+    return np.stack(k.ops, axis=-1).reshape(k.dim * k.dim, len(k), order="F")
+
+
 def kraus_to_choi(k: KrausFamily) -> Array:
-    """Choi matrix sum_i vec(T_i) vec(T_i)^*; Hermitian PSD by construction."""
-    n2 = k.dim * k.dim
-    c = np.zeros((n2, n2), dtype=complex)
-    for t in k.ops:
-        v = vec(t)
-        c += np.outer(v, np.conj(v))
-    return c
+    """Choi matrix sum_i vec(T_i) vec(T_i)^* = M M^*; Hermitian PSD by construction."""
+    m = _kraus_matrix(k)
+    return m @ dagger(m)
 
 
 def choi_to_kraus(choi: Array, tol: float = DEFAULT_TOL) -> KrausFamily:
@@ -170,12 +173,11 @@ def choi_to_kraus(choi: Array, tol: float = DEFAULT_TOL) -> KrausFamily:
 
 
 def kraus_to_super(k: KrausFamily) -> Array:
-    """Superoperator on column-vectorized matrices: sum_i conj(T_i) tensor T_i."""
-    n2 = k.dim * k.dim
-    s = np.zeros((n2, n2), dtype=complex)
-    for t in k.ops:
-        s += np.kron(np.conj(t), t)
-    return s
+    """Superoperator on column-vectorized matrices: sum_i conj(T_i) tensor T_i.
+
+    Computed as the reshuffle of the Choi matrix, which permutes its entries.
+    """
+    return choi_to_super(kraus_to_choi(k))
 
 
 def _reshuffle(m: Array) -> Array:
@@ -242,10 +244,12 @@ def kraus_equivalence_unitary(
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
     length = max(len(a), len(b))
     a, b = pad(a, length), pad(b, length)
-    ma = np.column_stack([vec(t) for t in a.ops])
-    mb = np.column_stack([vec(t) for t in b.ops])
-    deviation = fro(ma @ dagger(ma) - mb @ dagger(mb))  # Choi distance
-    if deviation > tol * max(1.0, float(np.linalg.norm(ma @ dagger(ma)))):
+    ma, mb = _kraus_matrix(a), _kraus_matrix(b)
+    choi = ma @ dagger(ma)
+    scale = max(1.0, fro(choi))
+    choi -= mb @ dagger(mb)
+    deviation = fro(choi)  # Choi distance
+    if deviation > tol * scale:
         raise NotSameChannelError(deviation)
     wa, sa, vah = np.linalg.svd(ma, full_matrices=False)
     wb, sb, vbh = np.linalg.svd(mb, full_matrices=False)

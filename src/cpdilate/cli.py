@@ -31,6 +31,7 @@ from .dilation import (
     minimality_check,
     verify_e_dilation,
 )
+from .linalg import DEFAULT_TOL, DEFAULT_ZERO_TOL
 from .prodsys import GridPoint, build_product_system, verify_representation
 from .strongcomm import (
     NonCommutingError,
@@ -38,9 +39,6 @@ from .strongcomm import (
     strong_commutation_certificate,
     verify_certificate,
 )
-
-DEFAULT_TOL = 1e-9
-DEFAULT_ZERO_TOL = 1e-12
 
 
 class InputError(ValueError):

@@ -9,6 +9,11 @@ import numpy as np
 
 Array = np.ndarray
 
+# Package-wide defaults: predicate tolerance (residuals, CP/unital checks) and
+# the threshold below which a matrix entry counts as zero in nonzero patterns.
+DEFAULT_TOL = 1e-9
+DEFAULT_ZERO_TOL = 1e-12
+
 
 class CapExceededError(RuntimeError):
     """A size cap would be passed; raised before the large allocation."""

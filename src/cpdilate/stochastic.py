@@ -22,10 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, fro, rotation_taking
-
-DEFAULT_TOL = 1e-9
-DEFAULT_ZERO_TOL = 1e-12
+from .linalg import DEFAULT_TOL, DEFAULT_ZERO_TOL, Array, fro, rotation_taking
 
 
 class NoIntertwinerError(ValueError):

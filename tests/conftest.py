@@ -33,6 +33,30 @@ def mix_of_unitaries(family: CommutingFamily, count: int) -> KrausFamily:
     return KrausFamily(family.n, ops)
 
 
+def random_contractive(n: int, m: int, rng: np.random.Generator) -> KrausFamily:
+    """m random complex n x n operators scaled so that sum T T* < I; generically non-commuting."""
+    ops = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(m)]
+    total = sum(t @ t.conj().T for t in ops)
+    lam = np.linalg.eigvalsh(total)[-1].real
+    scale = 1.0 / np.sqrt(lam * 1.01)
+    return KrausFamily(n, tuple(scale * t for t in ops))
+
+
+def oracle_super(k: KrausFamily) -> np.ndarray:
+    """Superoperator as the Kronecker sum sum_i conj(T_i) ⊗ T_i, one n^2 x n^2 term per operator."""
+    n2 = k.dim * k.dim
+    s = np.zeros((n2, n2), dtype=complex)
+    for t in k.ops:
+        s += np.kron(np.conj(t), t)
+    return s
+
+
+def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:
+    """Frobenius agreement to rel relative plus abs_ absolute."""
+    diff = np.linalg.norm(np.asarray(got) - np.asarray(want))
+    return bool(diff <= rel * np.linalg.norm(want) + abs_)
+
+
 def corner_collapse_channel() -> KrausFamily:
     """a |-> a_00 I on M_2, Kraus {e0 e0^*, e1 e0^*}."""
     t1 = np.zeros((2, 2), dtype=complex)

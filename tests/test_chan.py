@@ -23,7 +23,15 @@ from cpdilate.chan import (
 )
 from cpdilate.linalg import dagger, fro, vec
 
-from conftest import PAULI_X, PAULI_Z, corner_collapse_channel, random_unitary
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    close,
+    corner_collapse_channel,
+    oracle_super,
+    random_contractive,
+    random_unitary,
+)
 
 
 def matrix_units(n):
@@ -43,14 +51,6 @@ def brute_force_apply(k, a):
     for t in k.ops:
         out += t @ a @ np.conj(t.T)
     return out
-
-
-def random_contractive(n, m, rng):
-    ops = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(m)]
-    total = sum(t @ dagger(t) for t in ops)
-    lam = np.linalg.eigvalsh(total)[-1].real
-    scale = 1.0 / np.sqrt(lam * 1.01)
-    return KrausFamily(n, tuple(scale * t for t in ops))
 
 
 class TestChoi:
@@ -104,6 +104,22 @@ class TestChoi:
         sup = kraus_to_super(k)
         assert fro(choi_to_super(choi) - sup) < 1e-12
         assert fro(super_to_choi(sup) - choi) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 3))
+    def test_batched_forms_match_loop_oracles(self, seed, n, m):
+        # Oracles: the Kronecker sum and the sum of rank-one outer products.
+        rng = np.random.default_rng(seed)
+        k = random_contractive(n, m, rng)
+        choi = sum(np.outer(vec(t), np.conj(vec(t))) for t in k.ops)
+        assert close(kraus_to_choi(k), choi)
+        assert close(kraus_to_super(k), oracle_super(k))
+
+    def test_choi_ignores_kraus_order(self, rng):
+        k = random_contractive(3, 3, rng)
+        reordered = KrausFamily(3, k.ops[::-1])
+        assert close(kraus_to_choi(reordered), kraus_to_choi(k))
+        assert close(kraus_to_super(reordered), oracle_super(k))
 
 
 class TestApplyCompose:

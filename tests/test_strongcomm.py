@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,38 @@ from cpdilate.strongcomm import (
     verify_certificate,
 )
 
-from conftest import CommutingFamily, mix_of_unitaries
+from conftest import (
+    CommutingFamily,
+    close,
+    mix_of_unitaries,
+    oracle_super,
+    random_contractive,
+    random_unitary,
+)
+
+
+def oracle_check_commute(theta, phi):
+    """|| S(Theta∘Phi) - S(Phi∘Theta) ||_F with Kronecker-sum superoperators."""
+    return fro(oracle_super(compose(theta, phi)) - oracle_super(compose(phi, theta)))
+
+
+def oracle_intertwining_residual(theta, phi, u):
+    """Double loop over (i, j), each row reconstructed as a sum of mn products."""
+    m, n = len(theta), len(phi)
+    right = [s @ t for t in theta.ops for s in phi.ops]
+    worst = 0.0
+    for i, t in enumerate(theta.ops):
+        for j, s in enumerate(phi.ops):
+            row = u[i * n + j]
+            recon = sum(row[c] * right[c] for c in range(m * n))
+            worst = max(worst, fro(t @ s - recon))
+    return worst
+
+
+def wide_mix_pair(dim, count, seed):
+    """Two mixes of `count` commuting unitaries each on M_dim."""
+    family = CommutingFamily(dim, np.random.default_rng(seed))
+    return mix_of_unitaries(family, count), mix_of_unitaries(family, count)
 
 
 class TestCheckCommute:
@@ -37,10 +70,76 @@ class TestCheckCommute:
         s1 = kraus_to_super(compose(KrausFamily(2, (hadamard,)), KrausFamily(2, (phase,))))
         s2 = kraus_to_super(compose(KrausFamily(2, (phase,)), KrausFamily(2, (hadamard,))))
         assert rep.residual == pytest.approx(fro(s1 - s2))
+        assert rep.residual == pytest.approx(
+            oracle_check_commute(KrausFamily(2, (hadamard,)), KrausFamily(2, (phase,))), rel=1e-12
+        )
+        assert rep.residual == pytest.approx(np.sqrt(6), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_commute(identity_channel(2), identity_channel(3))
+
+
+class TestBatchedKernelsMatchOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        commuting=st.booleans(),
+    )
+    def test_random_families(self, seed, dim, m, n, commuting):
+        rng = np.random.default_rng(seed)
+        if commuting:
+            family = CommutingFamily(dim, rng)
+            theta, phi = mix_of_unitaries(family, m), mix_of_unitaries(family, n)
+        else:
+            theta, phi = random_contractive(dim, m, rng), random_contractive(dim, n, rng)
+        rep = check_commute(theta, phi)
+        assert close(rep.residual, oracle_check_commute(theta, phi))
+        for k in (compose(theta, phi), compose(phi, theta)):
+            assert close(kraus_to_super(k), oracle_super(k))
+        # A random, wrong witness; for commuting pairs also the constructed one.
+        witnesses = [random_unitary(m * n, rng)]
+        if commuting:
+            witnesses.append(strong_commutation_certificate(theta, phi).u)
+        for u in witnesses:
+            assert close(
+                intertwining_residual(theta, phi, u), oracle_intertwining_residual(theta, phi, u)
+            )
+
+    def test_certificate_residual_matches_oracle(self, rng):
+        family = CommutingFamily(3, rng)
+        theta, phi = mix_of_unitaries(family, 3), mix_of_unitaries(family, 2)
+        cert = strong_commutation_certificate(theta, phi)
+        assert close(cert.intertwining_residual, oracle_intertwining_residual(theta, phi, cert.u))
+        assert cert.intertwining_residual <= 1e-12
+        # Mixes of commuting unitaries give a symmetric u; a random one is not.
+        wrong = random_unitary(6, rng)
+        assert close(
+            intertwining_residual(theta, phi, wrong), oracle_intertwining_residual(theta, phi, wrong)
+        )
+
+    def test_certify_path_builds_no_kronecker_products(self, monkeypatch):
+        theta, phi = wide_mix_pair(4, 3, seed=7)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called on the certify path")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        cert = strong_commutation_certificate(theta, phi)
+        assert verify_certificate(theta, phi, cert).passed
+
+    def test_wide_mix_pair_certifies_quickly(self):
+        # Mix/mix of 8 commuting unitaries each on M_32: mn = 64, n^2 = 1024.
+        theta, phi = wide_mix_pair(32, 8, seed=3)
+        start = time.perf_counter()
+        cert = strong_commutation_certificate(theta, phi)
+        chk = verify_certificate(theta, phi, cert)
+        elapsed = time.perf_counter() - start
+        assert chk.passed and cert.u.shape == (64, 64)
+        assert elapsed < 1.0, f"certificate + verification took {elapsed:.2f} s"
 
 
 class TestCertificate:
