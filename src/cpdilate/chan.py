@@ -133,15 +133,23 @@ def pad(k: KrausFamily, length: int) -> KrausFamily:
     return KrausFamily(k.dim, k.ops + (z,) * (length - len(k)))
 
 
-def _kraus_matrix(k: KrausFamily) -> Array:
-    """The n^2 x L matrix M whose i-th column is vec(T_i)."""
-    return np.stack(k.ops, axis=-1).reshape(k.dim * k.dim, len(k), order="F")
+def _kraus_matrix(ops: Sequence[Array]) -> Array:
+    """The n^2 x L matrix M whose i-th column is vec(T_i), for L operators T_i."""
+    d = ops[0].shape[0]
+    return np.stack(ops, axis=-1).reshape(d * d, len(ops), order="F")
 
 
 def kraus_to_choi(k: KrausFamily) -> Array:
     """Choi matrix sum_i vec(T_i) vec(T_i)^* = M M^*; Hermitian PSD by construction."""
-    m = _kraus_matrix(k)
+    m = _kraus_matrix(k.ops)
     return m @ dagger(m)
+
+
+def _choi_distance(ma: Array, mb: Array) -> float:
+    """|| Ma Ma^* - Mb Mb^* ||_F for Kraus matrices; taken in place, so equal inputs give 0.0."""
+    diff = ma @ dagger(ma)
+    diff -= mb @ dagger(mb)
+    return fro(diff)
 
 
 def choi_to_kraus(choi: Array, tol: float = DEFAULT_TOL) -> KrausFamily:
@@ -233,30 +241,34 @@ def kraus_equivalence_unitary(
 ) -> Array:
     """L x L unitary u with A_i = sum_j u[i, j] B_j for two families of one map.
 
-    Families are zero-padded to a common length L. Writing Ma, Mb for the
-    n^2 x L matrices of vectorized operators, the relation reads Ma = Mb u^T;
-    the system is consistent exactly when both families present one map, so
-    the support part of u is the minimum-norm least-squares solution, and the
-    kernel parts are joined by deterministic orthonormal completions. Singular
-    values at or below sqrt(tol) (the Choi-eigenvalue cutoff) count as kernel.
+    Families are zero-padded to a common length L. Raises NotSameChannelError
+    when their Choi matrices differ by more than tol relative to the first
+    (floored at 1); the unitary is then built by _equivalence_unitary.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
     length = max(len(a), len(b))
-    a, b = pad(a, length), pad(b, length)
-    ma, mb = _kraus_matrix(a), _kraus_matrix(b)
-    choi = ma @ dagger(ma)
-    scale = max(1.0, fro(choi))
-    choi -= mb @ dagger(mb)
-    deviation = fro(choi)  # Choi distance
-    if deviation > tol * scale:
+    ma, mb = (_kraus_matrix(pad(k, length).ops) for k in (a, b))
+    deviation = _choi_distance(ma, mb)
+    # ||Ma Ma^*||_F = ||Ma^* Ma||_F, an L x L product.
+    if deviation > tol * max(1.0, fro(dagger(ma) @ ma)):
         raise NotSameChannelError(deviation)
+    return _equivalence_unitary(ma, mb, tol)
+
+
+def _equivalence_unitary(ma: Array, mb: Array, tol: float) -> Array:
+    """Unitary u with Ma = Mb u^T for two n^2 x L Kraus matrices of one map.
+
+    The relation is consistent exactly when both present one map, so the
+    support part of u is the minimum-norm least-squares solution, and the
+    kernel parts are joined by deterministic orthonormal completions. Singular
+    values at or below sqrt(tol) (the Choi-eigenvalue cutoff) count as kernel.
+    """
+    length = ma.shape[1]
     wa, sa, vah = np.linalg.svd(ma, full_matrices=False)
     wb, sb, vbh = np.linalg.svd(mb, full_matrices=False)
-    cut = np.sqrt(tol) * max(1.0, float(sa[0]) if sa.size else 1.0)
+    cut = np.sqrt(tol) * max(1.0, float(sa[0]))
     rank = int(np.sum(sb > cut))
-    if rank == 0:
-        return np.eye(length, dtype=complex)
     pinv_mb = dagger(vbh[:rank]) @ ((1.0 / sb[:rank])[:, None] * dagger(wb[:, :rank]))
     u = (pinv_mb @ ma).T
     if rank < length:
@@ -302,9 +314,9 @@ def channel_to_json(k: KrausFamily) -> dict:
 
 
 def channel_from_json(d: dict, tol: float = DEFAULT_TOL) -> KrausFamily:
-    if "dim" not in d:
-        raise ValueError("channel JSON needs a 'dim' field")
-    dim = int(d["dim"])
+    dim = d.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"channel JSON needs an integer 'dim' field, got {dim!r}")
     if "kraus" in d:
         ops = tuple(matrix_from_json(m) for m in d["kraus"])
         fam = KrausFamily(dim, ops)

@@ -19,23 +19,26 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
 from . import chan, stochastic
 from .dilation import (
+    DEFAULT_BIG_CAP,
     build_big_space,
     build_dilation_space,
     lift_operators,
     minimality_check,
     verify_e_dilation,
 )
-from .linalg import DEFAULT_TOL, DEFAULT_ZERO_TOL
-from .prodsys import GridPoint, build_product_system, verify_representation
+from .linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, DEFAULT_ZERO_TOL
+from .prodsys import DEFAULT_FIBER_CAP, GridPoint, build_product_system, verify_representation
 from .strongcomm import (
     NonCommutingError,
     StrongCommutationCertificate,
+    check_commute,
     strong_commutation_certificate,
     verify_certificate,
 )
@@ -119,8 +122,6 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 
 def cmd_commute(args) -> tuple[int, dict]:
-    from .strongcomm import check_commute
-
     a = _load_channel(args.channels[0], args.tol)
     b = _load_channel(args.channels[1], args.tol)
     rep = check_commute(a, b, args.tol)
@@ -248,20 +249,19 @@ def _load_dilate_inputs(args):
     phi = chan.channel_from_json(data["phi"], args.tol)
     cert = None
     if "certificate" in data:
+        if not isinstance(data["certificate"], dict) or "u" not in data["certificate"]:
+            raise InputError(f"{path}: 'certificate' needs a 'u' matrix")
         u = chan.matrix_from_json(data["certificate"]["u"])
-        supplied = StrongCommutationCertificate(
-            m=len(theta), n=len(phi), u=u,
-            unitarity_residual=0.0, intertwining_residual=0.0,
-        )
-        chk = verify_certificate(theta, phi, supplied, args.tol)
+        cert = StrongCommutationCertificate(len(theta), len(phi), u, 0.0, 0.0)
+        chk = verify_certificate(theta, phi, cert, args.tol)
         if not chk.passed:
             raise InputError(
                 f"{path}: supplied certificate fails verification "
                 f"(unitarity {chk.unitarity_residual:.3e}, "
                 f"intertwining {chk.intertwining_residual:.3e})"
             )
-        cert = StrongCommutationCertificate(
-            m=len(theta), n=len(phi), u=u,
+        cert = replace(
+            cert,
             unitarity_residual=chk.unitarity_residual,
             intertwining_residual=chk.intertwining_residual,
         )
@@ -315,13 +315,22 @@ def cmd_dilate(args) -> tuple[int, dict]:
     return (0 if rep.passed and mini.passed else 1), report
 
 
+def positive(text: str) -> float:
+    """argparse type: a positive number (errors read "invalid positive value")."""
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    env_tol = float(os.environ.get("CPDILATE_TOL", DEFAULT_TOL))
     parser = argparse.ArgumentParser(
         prog="cpdilate",
         description="CP-map calculus, strong commutation and finite-horizon dilations",
     )
-    parser.add_argument("--tol", type=float, default=env_tol, help="input/predicate tolerance")
+    # argparse passes a string default (CPDILATE_TOL) through the type check too.
+    env_tol = os.environ.get("CPDILATE_TOL", DEFAULT_TOL)
+    parser.add_argument("--tol", type=positive, default=env_tol, help="input/predicate tolerance")
     parser.add_argument(
         "--zero-tol", type=float, default=DEFAULT_ZERO_TOL, help="nonzero-pattern threshold"
     )
@@ -354,16 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["verify"])
     p.add_argument("channels", nargs=2)
     p.add_argument("--horizon", nargs=2, type=int, required=True, metavar=("A", "B"))
-    p.add_argument("--verify-tol", type=float, default=1e-8)
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--verify-tol", type=positive, default=DEFAULT_VERIFY_TOL)
+    p.add_argument("--cap", type=int, default=DEFAULT_FIBER_CAP)
     p.set_defaults(func=cmd_prodsys)
 
     p = sub.add_parser("dilate", help="build and verify the finite-horizon dilation")
     p.add_argument("channels", nargs="+", help="two channel files or one combined file")
     p.add_argument("--horizon", nargs=2, type=int, required=True, metavar=("A", "B"))
     p.add_argument("--margin", nargs=2, type=int, required=True, metavar=("A", "B"))
-    p.add_argument("--verify-tol", type=float, default=1e-8)
-    p.add_argument("--cap", type=int, default=8192)
+    p.add_argument("--verify-tol", type=positive, default=DEFAULT_VERIFY_TOL)
+    p.add_argument("--cap", type=int, default=DEFAULT_BIG_CAP)
     p.set_defaults(func=cmd_dilate)
     return parser
 
@@ -371,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
     try:
         code, report = args.func(args)
     except (InputError, ValueError) as exc:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import KrausFamily, classify
-from .linalg import Array, CapExceededError, dagger, fro, hermitize
+from .linalg import DEFAULT_VERIFY_TOL, Array, CapExceededError, dagger, fro, hermitize
 from .prodsys import (
     E_STEP,
     F_STEP,
@@ -52,9 +52,12 @@ from .prodsys import (
     representation_matrix,
 )
 
-DEFAULT_PSD_TOL = 1e-10
+# Floor below zero allowed for gram_min_eig and p_increase_min_eig.
+PSD_FLOOR = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
+# Rounds of the minimality span loop: products of at most this many generators.
+SPAN_DEPTH_CAP = 8
 
 
 class OutOfHorizonError(ValueError):
@@ -202,11 +205,6 @@ class EDilationResult:
     v_blocks: dict                      # g -> list of dim_k x dim_k matrices, one per word
     p: Array                            # embed_h embed_h^*, the projection onto H
 
-    def v_matrix(self, g: GridPoint, coords: Array) -> Array:
-        """V_g(x) for a fiber vector x with the given coordinates."""
-        mats = self.v_blocks_for(g)
-        return sum(c * m for c, m in zip(np.asarray(coords, dtype=complex), mats))
-
     def v_blocks_for(self, g: GridPoint) -> list[Array]:
         if g not in self.v_blocks:
             raise OutOfHorizonError(
@@ -274,7 +272,6 @@ class DilationReport:
     multiplicativity_residual: float
     p_increase_min_eig: float
     tol: float
-    psd_floor: float
 
     @property
     def passed(self) -> bool:
@@ -287,8 +284,8 @@ class DilationReport:
         )
         return (
             worst <= self.tol
-            and self.gram_min_eig >= -self.psd_floor
-            and self.p_increase_min_eig >= -self.psd_floor
+            and self.gram_min_eig >= -PSD_FLOOR
+            and self.p_increase_min_eig >= -PSD_FLOOR
         )
 
 
@@ -297,8 +294,7 @@ def verify_e_dilation(
     theta: KrausFamily,
     phi: KrausFamily,
     grid_limit: GridPoint,
-    tol: float = 1e-8,
-    psd_floor: float = DEFAULT_PSD_TOL,
+    tol: float = DEFAULT_VERIFY_TOL,
 ) -> DilationReport:
     """Check the dilation contracts at every grid point below grid_limit.
 
@@ -366,7 +362,6 @@ def verify_e_dilation(
         multiplicativity_residual=mult,
         p_increase_min_eig=p_min,
         tol=tol,
-        psd_floor=psd_floor,
     )
 
 
@@ -500,20 +495,19 @@ def minimality_check(
     res: EDilationResult,
     grid_limit: GridPoint | None = None,
     tol: float = 1e-8,
-    depth_cap: int = 8,
 ) -> MinimalityReport:
     """Span and commutant diagnostics for minimality.
 
     (1) Iterate the span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H)
         over grid points g_i <= grid_limit and matrix units m_i until it
-        stabilizes or the depth cap is hit; minimality of K means it reaches
-        dim K. (2) The generators alpha_g(m) form a *-closed set, so by the
-        double commutant theorem they generate B(K) exactly when their
-        commutant is the scalars; algebra_dims computes the commutant from a
-        random element of their span. closure_dim is the dimension of the
-        generated unital *-algebra, read off the double commutant (dim K^2
-        when the commutant is the scalars); closure_converged is always True,
-        as no iteration is involved.
+        stabilizes or SPAN_DEPTH_CAP rounds are done; minimality of K means
+        it reaches dim K. (2) The generators alpha_g(m) form a *-closed set,
+        so by the double commutant theorem they generate B(K) exactly when
+        their commutant is the scalars; algebra_dims computes the commutant
+        from a random element of their span. closure_dim is the dimension of
+        the generated unital *-algebra, read off the double commutant (dim
+        K^2 when the commutant is the scalars); closure_converged is always
+        True, as no iteration is involved.
 
     grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
     is exact for every g on the grid, and the span genuinely needs grid
@@ -549,7 +543,7 @@ def minimality_check(
     # directions found in the previous round need another multiplication.
     span = _orth_columns(dsp.embed_h)
     new = span
-    for _ in range(depth_cap):
+    for _ in range(SPAN_DEPTH_CAP):
         cands = (gen_stack @ new).transpose(1, 0, 2).reshape(d, -1)
         for _ in range(2):
             cands = cands - span @ (dagger(span) @ cands)

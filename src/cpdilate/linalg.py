@@ -13,6 +13,8 @@ Array = np.ndarray
 # the threshold below which a matrix entry counts as zero in nonzero patterns.
 DEFAULT_TOL = 1e-9
 DEFAULT_ZERO_TOL = 1e-12
+# Absolute tolerance for the residuals of a built product system or dilation.
+DEFAULT_VERIFY_TOL = 1e-8
 
 
 class CapExceededError(RuntimeError):
@@ -65,35 +67,17 @@ def require_finite(a: Array, what: str = "matrix") -> None:
         raise ValueError(f"{what} contains NaN or Inf entries")
 
 
-def complete_orthonormal(cols: Array, dim: int, tol: float = 1e-7) -> Array:
+def complete_orthonormal(cols: Array, dim: int) -> Array:
     """Extend orthonormal columns to an orthonormal basis of C^dim.
 
-    Standard basis vectors are swept in index order through Gram-Schmidt
-    (two passes, for stability) and survivors are kept, which makes the
-    completion deterministic.
+    The completion is the trailing dim - r columns of the complete QR
+    factorization of the r given columns, which is deterministic.
     """
-    have = [np.ascontiguousarray(cols[:, j]) for j in range(cols.shape[1])]
-    extra: list[Array] = []
-    for i in range(dim):
-        if len(have) + len(extra) >= dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        for _ in range(2):
-            for b in have:
-                v = v - b * np.vdot(b, v)
-            for b in extra:
-                v = v - b * np.vdot(b, v)
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            extra.append(v / nrm)
-    if len(have) + len(extra) != dim:
-        raise CompletionError(
-            f"could not complete {len(have)} columns to an orthonormal basis of C^{dim}"
-        )
-    if not extra:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.column_stack(extra)
+    r = cols.shape[1]
+    if r > dim:
+        raise CompletionError(f"cannot complete {r} columns to an orthonormal basis of C^{dim}")
+    q, _ = np.linalg.qr(cols, mode="complete")
+    return q[:, r:]
 
 
 def rotation_taking(v: Array, w: Array) -> Array:

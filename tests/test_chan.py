@@ -26,8 +26,10 @@ from cpdilate.linalg import dagger, fro, vec
 from conftest import (
     PAULI_X,
     PAULI_Z,
+    CommutingFamily,
     close,
     corner_collapse_channel,
+    mix_of_unitaries,
     oracle_super,
     random_contractive,
     random_unitary,
@@ -244,11 +246,23 @@ class TestEquivalenceUnitary:
         assert fro(dagger(u) @ u - np.eye(3)) < 1e-8
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), m=st.integers(1, 3))
-    def test_rotated_family_recovered(self, seed, n, m):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        m=st.integers(1, 3),
+        deficient=st.booleans(),
+    )
+    def test_rotated_family_recovered(self, seed, n, m, deficient):
         # B = w-rotation of A is another Kraus family of the same map.
         rng = np.random.default_rng(seed)
-        a = random_contractive(n, m, rng)
+        if deficient:
+            # n + m commuting unitaries span at most n directions: the
+            # unitary needs the kernel completion.
+            m += n
+            a = mix_of_unitaries(CommutingFamily(n, rng), m)
+            assert np.linalg.matrix_rank(np.stack(a.ops).reshape(m, -1)) < m
+        else:
+            a = random_contractive(n, m, rng)
         w = random_unitary(m, rng)
         b_ops = tuple(
             sum(w[j, i] * a.ops[j] for j in range(m)) for i in range(m)

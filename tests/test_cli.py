@@ -4,10 +4,12 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cpdilate import dilation
+from cpdilate import dilation, prodsys
 from cpdilate.chan import KrausFamily, channel_to_json, identity_channel
-from cpdilate.cli import main
+from cpdilate.cli import build_parser, main
+from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -218,6 +220,44 @@ class TestErrors:
         assert code == 2
         assert "over the cap" in rep["error"]
 
+    @pytest.mark.parametrize("dim", [None, True, 1.5, "1"])
+    def test_non_integer_dim_exits_two(self, tmp_path, dim):
+        bad = tmp_path / "baddim.json"
+        bad.write_text(json.dumps({"dim": dim, "kraus": [[[1.0]]]}))
+        code, rep = run_cli("classify", str(bad))
+        assert code == 2
+        assert "'dim'" in rep["error"]
+
+    def test_combined_file_certificate_without_u_exits_two(self, tmp_path):
+        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
+        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
+        combined = tmp_path / "pair.json"
+        combined.write_text(json.dumps({"theta": z, "phi": x, "certificate": {}}))
+        code, rep = run_cli(
+            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
+        )
+        assert code == 2
+        assert "'u'" in rep["error"]
+
+    def test_unparsable_env_tolerance_exits_two(self, monkeypatch):
+        monkeypatch.setenv("CPDILATE_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(FIXTURES / "channel_identity_2.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1e-8"])
+    def test_nonpositive_verify_tol_exits_two(self, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "dilate",
+                str(FIXTURES / "channel_conj_z.json"),
+                str(FIXTURES / "channel_conj_x.json"),
+                "--horizon", "2", "2",
+                "--margin", "1", "1",
+                "--verify-tol", value,
+            ])
+        assert exc.value.code == 2
+
     def test_stochastic_bad_rows_exit_two(self, tmp_path):
         bad = tmp_path / "notstochastic.json"
         bad.write_text(json.dumps({"matrix": [[0.5, 0.6], [0.2, 0.8]]}))
@@ -249,6 +289,15 @@ class TestStochasticFlags:
         assert rep["irreducible"] == [True]
         rows = np.asarray(rep["semigroup"])
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_parser_defaults_are_library_constants(self, monkeypatch):
+        monkeypatch.delenv("CPDILATE_TOL", raising=False)
+        parser = build_parser()
+        args = parser.parse_args(["prodsys", "verify", "a", "b", "--horizon", "1", "1"])
+        assert args.tol == DEFAULT_TOL
+        assert (args.verify_tol, args.cap) == (DEFAULT_VERIFY_TOL, prodsys.DEFAULT_FIBER_CAP)
+        args = parser.parse_args(["dilate", "a", "--horizon", "1", "1", "--margin", "1", "1"])
+        assert (args.verify_tol, args.cap) == (DEFAULT_VERIFY_TOL, dilation.DEFAULT_BIG_CAP)
 
     def test_env_var_tolerance(self, monkeypatch, tmp_path):
         monkeypatch.setenv("CPDILATE_TOL", "1e-3")

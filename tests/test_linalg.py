@@ -30,6 +30,25 @@ class TestVec:
         assert fro(vec(a @ x @ b) - np.kron(b.T, a) @ vec(x)) < 1e-12
 
 
+def oracle_complete_orthonormal(cols, dim, tol=1e-7):
+    """Gram-Schmidt sweep of the standard basis (two passes) against the given columns."""
+    have = [np.ascontiguousarray(cols[:, j]) for j in range(cols.shape[1])]
+    extra = []
+    for i in range(dim):
+        if len(have) + len(extra) >= dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        for _ in range(2):
+            for b in have + extra:
+                v = v - b * np.vdot(b, v)
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            extra.append(v / nrm)
+    assert len(have) + len(extra) == dim
+    return np.column_stack(extra) if extra else np.zeros((dim, 0), dtype=complex)
+
+
 class TestCompletion:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), r=st.integers(0, 5))
@@ -43,6 +62,9 @@ class TestCompletion:
         full = np.hstack([cols, extra])
         assert full.shape == (dim, dim)
         assert fro(dagger(full) @ full - np.eye(dim)) < 1e-10
+        # The completion is unique up to a unitary on the complement: compare projectors.
+        oracle = oracle_complete_orthonormal(cols, dim)
+        assert fro(extra @ dagger(extra) - oracle @ dagger(oracle)) < 1e-10
 
     def test_deterministic(self):
         cols = np.array([[1.0], [0.0], [0.0]], dtype=complex)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdilate import chan, strongcomm
 from cpdilate.chan import KrausFamily, compose, identity_channel, kraus_to_super
 from cpdilate.linalg import fro
 from cpdilate.strongcomm import (
@@ -53,9 +54,11 @@ def wide_mix_pair(dim, count, seed):
 
 class TestCheckCommute:
     def test_map_commutes_with_itself(self, zx_pair):
-        theta, _ = zx_pair
-        rep = check_commute(theta, theta)
-        assert rep.commute and rep.residual == 0.0
+        # Nine composite operators: a Choi matrix formed in any order but
+        # compose's would differ from the other side at roundoff.
+        for theta in (zx_pair[0], wide_mix_pair(4, 3, seed=11)[0]):
+            rep = check_commute(theta, theta)
+            assert rep.commute and rep.residual == 0.0
 
     def test_pauli_conjugations_commute(self, zx_pair):
         rep = check_commute(*zx_pair)
@@ -112,6 +115,10 @@ class TestBatchedKernelsMatchOracles:
     def test_certificate_residual_matches_oracle(self, rng):
         family = CommutingFamily(3, rng)
         theta, phi = mix_of_unitaries(family, 3), mix_of_unitaries(family, 2)
+        # Products of commuting unitaries span at most dim = 3 of the mn = 6
+        # Kraus directions, so u is completed on a 3-dimensional kernel.
+        left, _ = strongcomm._products(theta, phi)
+        assert np.linalg.matrix_rank(left.reshape(6, -1)) == 3
         cert = strong_commutation_certificate(theta, phi)
         assert close(cert.intertwining_residual, oracle_intertwining_residual(theta, phi, cert.u))
         assert cert.intertwining_residual <= 1e-12
@@ -130,6 +137,51 @@ class TestBatchedKernelsMatchOracles:
         monkeypatch.setattr(np, "kron", no_kron)
         cert = strong_commutation_certificate(theta, phi)
         assert verify_certificate(theta, phi, cert).passed
+
+    def test_certificate_builds_products_once_without_compose(self, monkeypatch):
+        theta, phi = wide_mix_pair(4, 3, seed=7)
+        calls = []
+        products = strongcomm._products
+        monkeypatch.setattr(
+            strongcomm, "_products", lambda *args: calls.append(args) or products(*args)
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compose or a new KrausFamily on the certify path")
+
+        monkeypatch.setattr(chan, "compose", forbidden)
+        monkeypatch.setattr(strongcomm, "compose", forbidden, raising=False)
+        monkeypatch.setattr(KrausFamily, "__post_init__", forbidden)
+        strong_commutation_certificate(theta, phi)
+        assert len(calls) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 3),
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        commuting=st.booleans(),
+    )
+    def test_non_commuting_error_iff_check_fails(self, seed, dim, m, n, commuting):
+        rng = np.random.default_rng(seed)
+        if commuting:
+            family = CommutingFamily(dim, rng)
+            theta, phi = mix_of_unitaries(family, m), mix_of_unitaries(family, n)
+        else:
+            theta, phi = random_contractive(dim, m, rng), random_contractive(dim, n, rng)
+        residual = check_commute(theta, phi).residual
+        tols = [1e-9]
+        if 0.0 < residual < 1e-9:
+            # The two sides of the decision: the certificate must draw it at the same residual.
+            tols += [residual, np.nextafter(residual, 0.0)]
+        for tol in tols:
+            try:
+                strong_commutation_certificate(theta, phi, tol)
+                raised = False
+            except NonCommutingError:
+                raised = True
+            assert raised == (not check_commute(theta, phi, tol).commute)
 
     def test_wide_mix_pair_certifies_quickly(self):
         # Mix/mix of 8 commuting unitaries each on M_32: mn = 64, n^2 = 1024.
