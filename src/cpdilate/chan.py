@@ -293,16 +293,28 @@ def matrix_to_json(a: Array) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def matrix_from_json(obj: Sequence) -> Array:
+_JSON_NUMBERS = (int, float)  # exact types, so JSON true/false are not numbers
+
+
+def matrix_from_json(obj: list) -> Array:
+    if type(obj) is not list or not all(type(row) is list for row in obj):
+        raise ValueError("a matrix must be a list of rows")
     rows = []
     for row in obj:
         r = []
         for entry in row:
-            if isinstance(entry, (int, float)):
+            kind = type(entry)
+            if kind in _JSON_NUMBERS:
                 r.append(complex(entry))
+            elif (
+                kind is list
+                and len(entry) == 2
+                and type(entry[0]) in _JSON_NUMBERS
+                and type(entry[1]) in _JSON_NUMBERS
+            ):
+                r.append(complex(entry[0], entry[1]))
             else:
-                re, im = entry
-                r.append(complex(re, im))
+                raise ValueError(f"matrix entry {entry!r} is neither a number nor a [re, im] pair")
         rows.append(r)
     out = np.array(rows, dtype=complex)
     require_finite(out, "matrix")
@@ -318,6 +330,8 @@ def channel_from_json(d: dict, tol: float = DEFAULT_TOL) -> KrausFamily:
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"channel JSON needs an integer 'dim' field, got {dim!r}")
     if "kraus" in d:
+        if not isinstance(d["kraus"], list):
+            raise ValueError("'kraus' must be a list of matrices")
         ops = tuple(matrix_from_json(m) for m in d["kraus"])
         fam = KrausFamily(dim, ops)
     elif "choi" in d:

@@ -67,17 +67,25 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {json.dumps(_round_floats(report[key]), sort_keys=True)}")
 
 
+def _require_object(data: Any, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _require_object(data, path)
 
 
-def _channel_from(data: dict, path: str, tol: float) -> chan.KrausFamily:
+def _channel_from(data: Any, path: str, tol: float) -> chan.KrausFamily:
+    _require_object(data, path)
     if "matrix" in data:
         raise InputError(f"{path}: stochastic matrix given where a channel was expected")
     try:
@@ -89,7 +97,10 @@ def _channel_from(data: dict, path: str, tol: float) -> chan.KrausFamily:
 def _real_matrix_from(data: dict, path: str):
     if "matrix" not in data:
         raise InputError(f"{path}: expected a 'matrix' field")
-    m = np.asarray(data["matrix"], dtype=float)
+    try:
+        m = np.asarray(data["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: 'matrix' must be a square array of numbers") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{path}: 'matrix' must be square")
     return m
@@ -245,8 +256,8 @@ def _load_dilate_inputs(args):
     data = _load_json(path)
     if "theta" not in data or "phi" not in data:
         raise InputError(f"{path}: a combined file needs 'theta' and 'phi' channels")
-    theta = chan.channel_from_json(data["theta"], args.tol)
-    phi = chan.channel_from_json(data["phi"], args.tol)
+    theta = _channel_from(data["theta"], f"{path}: 'theta'", args.tol)
+    phi = _channel_from(data["phi"], f"{path}: 'phi'", args.tol)
     cert = None
     if "certificate" in data:
         if not isinstance(data["certificate"], dict) or "u" not in data["certificate"]:

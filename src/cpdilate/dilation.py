@@ -38,7 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import KrausFamily, classify
-from .linalg import DEFAULT_VERIFY_TOL, Array, CapExceededError, dagger, fro, hermitize
+from .linalg import (
+    DEFAULT_VERIFY_TOL,
+    Array,
+    CapExceededError,
+    dagger,
+    fro,
+    hermitize,
+    max_block_fro,
+)
 from .prodsys import (
     E_STEP,
     F_STEP,
@@ -87,15 +95,27 @@ class HatSemigroup:
     def __init__(self, sys: TwistedProductSystem, big: BigSpace):
         self.sys = sys
         self.big = big
+        # The representations of the two unit steps; row f holds the entries
+        # (i, j) of the operator of the one-letter word f.
+        n = sys.dim_h
+        self._step_reps = {
+            step: representation_matrix(sys, step)
+            .reshape(n, -1, n)
+            .transpose(1, 0, 2)
+            .reshape(-1, n * n)
+            for step in (E_STEP, F_STEP)
+        }
 
     def _step(self, t: GridPoint, step: GridPoint) -> Array:
+        """(I_{X(t - step)} tensor rep_step)(u^* tensor I_n), u the product map
+        X(t - step) tensor X(step) -> X(t); entry ((b, i), (t, j)) is
+        sum_f rep_step[i, (f, j)] conj(u[t, (b, f)])."""
         sys, n = self.sys, self.sys.dim_h
         base = t - step
-        rep = representation_matrix(sys, step)
-        u = product_unitary(sys, base, step)
-        return np.kron(np.eye(sys.fiber_dim(base), dtype=complex), rep) @ np.kron(
-            dagger(u), np.eye(n, dtype=complex)
-        )
+        fd_base = sys.fiber_dim(base)
+        u = product_unitary(sys, base, step).conj().reshape(-1, sys.fiber_dim(step))
+        out = (u @ self._step_reps[step]).reshape(-1, fd_base, n, n)  # [t, b, i, j]
+        return out.transpose(1, 2, 0, 3).reshape(fd_base * n, -1)
 
 
 def build_big_space(
@@ -142,10 +162,10 @@ class DilationSpace:
         T_limit^* T_limit, so that a check against it stays independent of
         the lift.
         """
-        cover = sum(
-            f @ dagger(f)
-            for f in (self.factor_block(g) for g in self.big.points if g <= limit)
-        )
+        big = self.big
+        keep = np.repeat([g <= limit for g in big.points], [big.dims[g] for g in big.points])
+        cols = self.factor[:, keep]
+        cover = cols @ dagger(cols)
         w, v = np.linalg.eigh(hermitize(cover))
         kept = v[:, w > 1e-10 * w[-1]]
         return kept @ dagger(kept)
@@ -202,10 +222,10 @@ class EDilationResult:
 
     dsp: DilationSpace
     sys: TwistedProductSystem
-    v_blocks: dict                      # g -> list of dim_k x dim_k matrices, one per word
+    v_blocks: dict                      # g -> (fiber_dim(g), dim_k, dim_k) stack, one V_g(e_w) per word
     p: Array                            # embed_h embed_h^*, the projection onto H
 
-    def v_blocks_for(self, g: GridPoint) -> list[Array]:
+    def v_blocks_for(self, g: GridPoint) -> Array:
         if g not in self.v_blocks:
             raise OutOfHorizonError(
                 f"operators at {g.key()} exceed the margin {self.dsp.margin.key()}"
@@ -213,9 +233,12 @@ class EDilationResult:
         return self.v_blocks[g]
 
     def alpha(self, g: GridPoint, b: Array) -> Array:
-        """alpha_g(b) = sum over fiber words of V_g(e_w) b V_g(e_w)^*."""
-        mats = self.v_blocks_for(g)
-        return sum(m @ b @ dagger(m) for m in mats)
+        """alpha_g(b) = sum over fiber words of V_g(e_w) b V_g(e_w)^*.
+
+        One batched product V b, then [V_1 b ... V_fd b] [V_1 ... V_fd]^*.
+        """
+        v = self.v_blocks_for(g)
+        return _hstack(v @ b) @ dagger(_hstack(v))
 
     def alpha_corner(self, g: GridPoint, a: Array) -> Array:
         """alpha_g(embed a embed^*) via the exact generator-block formula.
@@ -239,6 +262,12 @@ class EDilationResult:
         return e @ np.asarray(a, dtype=complex) @ dagger(e)
 
 
+def _hstack(stack: Array) -> Array:
+    """[M_1 ... M_s] for a (s, rows, cols) stack."""
+    s, rows, cols = stack.shape
+    return stack.transpose(1, 0, 2).reshape(rows, s * cols)
+
+
 def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationResult:
     """V_g(e_w) = (L_w tensor I_n) T_{horizon - g} for every g <= margin.
 
@@ -255,7 +284,7 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
         # Column block w of the product map X(g) tensor X(rest) -> X(top) is L_w.
         left = product_unitary(sys, g, rest).reshape(fd_top, fd_g, fd_rest).transpose(1, 0, 2)
         t_rest = dagger(dsp.factor_block(rest)).reshape(fd_rest, n * k)
-        v_blocks[g] = list((left @ t_rest).reshape(fd_g, fd_top * n, k))
+        v_blocks[g] = (left @ t_rest).reshape(fd_g, fd_top * n, k)
     p = dsp.embed_h @ dagger(dsp.embed_h)
     return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks, p=p)
 
@@ -289,6 +318,16 @@ class DilationReport:
         )
 
 
+def _outer_units(a: Array) -> Array:
+    """All A_r A_c^* of a (n, rows, cols) stack, as an (n*rows) x (n*rows) matrix.
+
+    Block (r, c) is A_r A_c^*, so for the thin factor of alpha_g it is
+    alpha_g(embed e_rc).
+    """
+    flat = a.reshape(-1, a.shape[2])
+    return flat @ dagger(flat)
+
+
 def verify_e_dilation(
     res: EDilationResult,
     theta: KrausFamily,
@@ -305,16 +344,27 @@ def verify_e_dilation(
     against the projector of the span where the finite-horizon operator is
     exact (generators below horizon - g), which on the infinite grid is the
     identity.
+
+    Every embedded argument has rank at most n. With the thin factor
+    A_r = [V_g(e_w) embed_h e_r]_w (dim_k x fiber_dim(g)), alpha_g applied
+    to embed e_rc is A_r A_c^*, so the residuals on matrix units are formed
+    from it: dilation e^* A_r A_c^* e against Kraus iteration of theta and
+    phi; multiplicativity A_i (A_j^* A_k - delta_jk I) A_l^*; semigroup
+    B_r B_c^* - A'_r A'_c^* with B = V_g A of alpha_h and A' of alpha_{g+h};
+    alpha_g(p) = sum_r A_r A_r^*. Each norm is still taken of the explicit
+    dim_k x dim_k difference. Coisometry and isometry use the full V_g.
     """
     dsp, sys = res.dsp, res.sys
     if not grid_limit <= dsp.margin:
         raise OutOfHorizonError(
             f"grid limit {grid_limit.key()} exceeds margin {dsp.margin.key()}"
         )
-    n = sys.dim_h
+    n, k, e = sys.dim_h, dsp.dim_k, dsp.embed_h
     units = _matrix_units(n)
     pts = grid_points(grid_limit)
-    eye_k = np.eye(dsp.dim_k, dtype=complex)
+    eye_k = np.eye(k, dtype=complex)
+    # thin[g][r] = A_r, shape (n, dim_k, fiber_dim(g)).
+    thin = {g: (res.v_blocks_for(g) @ e).transpose(2, 1, 0) for g in pts}
 
     dil = 0.0
     mult = 0.0
@@ -322,23 +372,32 @@ def verify_e_dilation(
     iso = 0.0
     p_min = 0.0
     for g in pts:
-        for x in units:
-            lhs = _iterated_map(theta, phi, g, x)
-            rhs = res.compress(res.alpha(g, res.embed(x)))
-            dil = max(dil, fro(lhs - rhs))
-        for x in units:
-            for y in units:
-                lhs = res.alpha(g, res.embed(x @ y))
-                rhs = res.alpha(g, res.embed(x)) @ res.alpha(g, res.embed(y))
-                mult = max(mult, fro(lhs - rhs))
-        coiso = max(coiso, fro(res.alpha(g, eye_k) - eye_k))
+        v, a = res.v_blocks_for(g), thin[g]
+        fd = a.shape[2]
+        # compress(alpha_g(embed e_rc)) at r * n + c
+        corner = _outer_units(dagger(e) @ a).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        diff = _iterated_map(theta, phi, g, units) - corner.reshape(n * n, n, n)
+        dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
+
+        # One (j, k) pair at a time keeps each temporary at n^2 dim_k^2 entries.
+        wide_a = _hstack(a)
+        gram = (dagger(wide_a) @ wide_a).reshape(n, fd, n, fd)
+        flat = a.reshape(n * k, fd)
+        flat_h = dagger(flat)
+        for j in range(n):
+            for kk in range(n):
+                d = gram[j, :, kk, :] - (np.eye(fd) if j == kk else 0.0)
+                mult = max(mult, max_block_fro(flat @ d @ flat_h, n, k))
+
+        wide = _hstack(v)
+        coiso = max(coiso, fro(wide @ dagger(wide) - eye_k))
         p_g = dsp.span_projector(dsp.horizon - g)
-        mats = res.v_blocks_for(g)
-        for ix, vx in enumerate(mats):
-            for iy, vy in enumerate(mats):
-                inner = 1.0 if ix == iy else 0.0
-                iso = max(iso, fro(dagger(vx) @ vy - inner * p_g))
-        gap = hermitize(res.alpha(g, res.p) - res.p)
+        for x in range(fd):
+            # Block row x of [V]^*[V]: V_x^* V_y, which must be delta_xy P_g.
+            row = dagger(v[x]) @ wide
+            row[:, x * k:(x + 1) * k] -= p_g
+            iso = max(iso, max_block_fro(row, 1, k))
+        gap = hermitize(wide_a @ dagger(wide_a) - res.p)
         p_min = min(p_min, float(np.linalg.eigvalsh(gap)[0]))
 
     semi = 0.0
@@ -346,10 +405,11 @@ def verify_e_dilation(
         for h in pts:
             if not (g + h) <= grid_limit:
                 continue
-            for x in units:
-                lhs = res.alpha(g, res.alpha(h, res.embed(x)))
-                rhs = res.alpha(g + h, res.embed(x))
-                semi = max(semi, fro(lhs - rhs))
+            a_h = thin[h]
+            b = res.v_blocks_for(g) @ _hstack(a_h)  # (fd_g, dim_k, n fd_h)
+            b = b.reshape(-1, k, n, a_h.shape[2]).transpose(2, 1, 0, 3).reshape(n, k, -1)
+            diff = _outer_units(b) - _outer_units(thin[g + h])
+            semi = max(semi, max_block_fro(diff, n, k))
 
     return DilationReport(
         grid_limit=grid_limit,
@@ -374,6 +434,9 @@ def verify_e_dilation(
 # enlarges the search space, so the count never depends on the draw.
 COMMUTANT_SEED = 0
 CLUSTER_REL = 1e-8
+# Commutant basis: eigenvalues of the normal operator below 0.01 * COMMUTANT_TOL
+# times its largest (or 1).
+COMMUTANT_TOL = 1e-8
 # Unknowns of one commutant solve: the sum of squared block sizes. The normal
 # operator holds their square, 4096^2 complex entries (256 MiB) at the cap.
 MAX_COMMUTANT_UNKNOWNS = 4096
@@ -392,9 +455,7 @@ def _eigen_clusters(a: Array) -> tuple[Array, Array]:
     return v, np.diff(np.concatenate(([0], cuts, [w.size])))
 
 
-def _block_commutant(
-    mats: Array, frame: Array, sizes: Array, tol: float
-) -> tuple[Array, Array, Array]:
+def _block_commutant(mats: Array, frame: Array, sizes: Array) -> tuple[Array, Array, Array]:
     """Commutant of the *-closed span of mats among matrices block-diagonal in frame.
 
     Minimizes sum_g ||[C, B_g]||^2 over block-diagonal C, with B_g the
@@ -438,10 +499,10 @@ def _block_commutant(
 
     evals, evecs = np.linalg.eigh(hermitize(normal))
     scale = max(float(evals[-1]), 1.0)
-    return evecs[:, evals < 0.01 * tol * scale], p, q
+    return evecs[:, evals < 0.01 * COMMUTANT_TOL * scale], p, q
 
 
-def algebra_dims(mats: Array, tol: float = 1e-8) -> tuple[int, int]:
+def algebra_dims(mats: Array) -> tuple[int, int]:
     """(dim of the commutant, dim of the generated unital *-algebra) of mats.
 
     mats is a (count, d, d) stack whose span is closed under adjoints. By the
@@ -454,7 +515,7 @@ def algebra_dims(mats: Array, tol: float = 1e-8) -> tuple[int, int]:
     """
     d = mats.shape[-1]
     a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
-    coef, p, q = _block_commutant(mats, *_eigen_clusters(a + dagger(a)), tol)
+    coef, p, q = _block_commutant(mats, *_eigen_clusters(a + dagger(a)))
     dim_comm = coef.shape[1]
     if dim_comm <= 1:
         return dim_comm, d * d
@@ -473,7 +534,7 @@ def algebra_dims(mats: Array, tol: float = 1e-8) -> tuple[int, int]:
         )
     comm = np.zeros((dim_comm, d, d), dtype=complex)
     comm[:, p, q] = coef.T
-    return dim_comm, _block_commutant(comm, frame, sizes, tol)[0].shape[1]
+    return dim_comm, _block_commutant(comm, frame, sizes)[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -492,9 +553,7 @@ class MinimalityReport:
 
 
 def minimality_check(
-    res: EDilationResult,
-    grid_limit: GridPoint | None = None,
-    tol: float = 1e-8,
+    res: EDilationResult, grid_limit: GridPoint | None = None
 ) -> MinimalityReport:
     """Span and commutant diagnostics for minimality.
 
@@ -554,7 +613,7 @@ def minimality_check(
         new = fresh
     span_rank = span.shape[1]
 
-    commutant_dim, closure_dim = algebra_dims(gen_stack, tol)
+    commutant_dim, closure_dim = algebra_dims(gen_stack)
     return MinimalityReport(
         grid_limit=limit,
         dim_k=d,

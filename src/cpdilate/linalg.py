@@ -15,6 +15,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_ZERO_TOL = 1e-12
 # Absolute tolerance for the residuals of a built product system or dilation.
 DEFAULT_VERIFY_TOL = 1e-8
+# phase_fix leaves a vector whose largest entry is at most this in modulus.
+PHASE_FLOOR = 1e-12
 
 
 class CapExceededError(RuntimeError):
@@ -32,6 +34,14 @@ def dagger(a: Array) -> Array:
 def fro(a: Array) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def max_block_fro(m: Array, rows: int, size: int) -> float:
+    """Largest Frobenius norm among the size x size blocks of a matrix with
+    rows * size rows. A (count, size, size) stack is passed as
+    m.reshape(-1, size) with rows = count."""
+    sq = np.square(np.ascontiguousarray(m, dtype=complex).view(np.float64))
+    return float(np.sqrt(sq.reshape(rows, size, -1, 2 * size).sum(axis=(1, 3)).max()))
 
 
 def vec(a: Array) -> Array:
@@ -53,11 +63,11 @@ def eigh_desc(a: Array) -> tuple[Array, Array]:
     return w[::-1], v[:, ::-1]
 
 
-def phase_fix(v: Array, tol: float = 1e-12) -> Array:
+def phase_fix(v: Array) -> Array:
     """Rotate the global phase so the largest-modulus entry is real positive."""
     i = int(np.argmax(np.abs(v)))
     z = v[i]
-    if abs(z) <= tol:
+    if abs(z) <= PHASE_FLOOR:
         return v
     return v * (np.conj(z) / abs(z))
 

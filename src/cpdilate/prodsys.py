@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chan import DEFAULT_TOL, KrausFamily, apply_kraus, classify
-from .linalg import Array, CapExceededError, dagger, fro
+from .chan import DEFAULT_TOL, KrausFamily, classify
+from .linalg import Array, CapExceededError, dagger, fro, max_block_fro
 from .strongcomm import StrongCommutationCertificate, verify_certificate
 
 
@@ -226,23 +226,19 @@ def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array
 
 
 def _iterated_map(theta: KrausFamily, phi: KrausFamily, g: GridPoint, x: Array) -> Array:
-    """Theta^a(Phi^b(x)) computed by repeated Kraus application."""
+    """Theta^a(Phi^b(x)) computed by repeated Kraus application, for each
+    matrix of a (count, n, n) stack x."""
     out = np.asarray(x, dtype=complex)
-    for _ in range(g.b):
-        out = apply_kraus(phi, out)
-    for _ in range(g.a):
-        out = apply_kraus(theta, out)
+    for fam, times in ((phi, g.b), (theta, g.a)):
+        ops = np.stack(fam.ops)[:, None]
+        for _ in range(times):
+            out = (ops @ out @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
     return out
 
 
-def _matrix_units(n: int) -> list[Array]:
-    units = []
-    for r in range(n):
-        for c in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[r, c] = 1.0
-            units.append(e)
-    return units
+def _matrix_units(n: int) -> Array:
+    """The (n^2, n, n) stack of matrix units e_rc, unit r * n + c."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def verify_representation(
@@ -265,7 +261,8 @@ def verify_representation(
             raise CapExceededError(
                 f"fiber space at {g.key()} has dimension {sys.fiber_dim(g) * n} > cap {cap}"
             )
-    reps = {g: representation_matrix(sys, g) for g in grid_points(horizon)}
+    # Entry [i, w, j] of reps[g] is entry (i, j) of the operator of fiber word w.
+    reps = {g: representation_matrix(sys, g).reshape(n, -1, n) for g in grid_points(horizon)}
 
     theta, phi = sys.theta(), sys.phi()
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
@@ -274,19 +271,24 @@ def verify_representation(
     ident = 0.0
     coiso = 0.0
     for g, rep in reps.items():
-        fd = sys.fiber_dim(g)
-        for x in units:
-            lhs = rep @ np.kron(np.eye(fd, dtype=complex), x) @ dagger(rep)
-            ident = max(ident, fro(lhs - _iterated_map(theta, phi, g, x)))
+        # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
+        lhs = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
+        diff = lhs - _iterated_map(theta, phi, g, units)
+        ident = max(ident, max_block_fro(diff.reshape(-1, n), n * n, n))
         if unital:
-            coiso = max(coiso, fro(rep @ dagger(rep) - np.eye(n)))
+            flat = rep.reshape(n, -1)
+            coiso = max(coiso, fro(flat @ dagger(flat) - np.eye(n)))
 
     hom = 0.0
     for g1 in grid_points(horizon):
+        words1 = reps[g1].transpose(1, 0, 2)  # (fd1, n, n), one operator per word
         for g2 in grid_points(horizon - g1):
             u = product_unitary(sys, g1, g2)
-            lhs = reps[g1 + g2] @ np.kron(u, np.eye(n, dtype=complex))
-            rhs = reps[g1] @ np.kron(np.eye(sys.fiber_dim(g1), dtype=complex), reps[g2])
+            # Both sides as (fd1, n, fd2 n) stacks, block a of the n x (fd1 fd2 n) matrices.
+            # rep_{g1+g2} (U tensor I): column (p, j) is sum_t rep[:, t, j] u[t, p].
+            lhs = (u.T @ reps[g1 + g2]).reshape(n, len(words1), -1).transpose(1, 0, 2)
+            # rep_{g1} (I tensor rep_{g2}): column (a, b, j) is W_a rep_{g2}[:, (b, j)].
+            rhs = words1 @ reps[g2].reshape(n, -1)
             hom = max(hom, fro(lhs - rhs))
 
     return RepresentationReport(

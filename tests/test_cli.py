@@ -239,6 +239,32 @@ class TestErrors:
         assert code == 2
         assert "'u'" in rep["error"]
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"dim": 2, "kraus": 5}, "'kraus'"),
+            (5, "JSON object"),
+            ({"dim": 1, "kraus": [[[None]]]}, "matrix entry"),
+        ],
+        ids=["kraus-number", "top-level-number", "null-entry"],
+    )
+    def test_malformed_channel_shape_exits_two(self, tmp_path, document, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, rep = run_cli("classify", str(bad))
+        assert code == 2
+        assert message in rep["error"]
+
+    def test_combined_file_channel_not_an_object_exits_two(self, tmp_path):
+        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
+        combined = tmp_path / "pair.json"
+        combined.write_text(json.dumps({"theta": 5, "phi": x}))
+        code, rep = run_cli(
+            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
+        )
+        assert code == 2
+        assert "'theta'" in rep["error"]
+
     def test_unparsable_env_tolerance_exits_two(self, monkeypatch):
         monkeypatch.setenv("CPDILATE_TOL", "abc")
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,290 @@
+"""The factored verifiers against their per-unit loop definitions.
+
+`verify_e_dilation` and `verify_representation` form every residual from thin
+factors and batched products. The oracles below are the plain loops over
+matrix units, fiber words and grid splits, with alpha_g summed word by word
+and the span projector summed block by block, so the fast path is never
+checked against itself.
+"""
+
+import dataclasses
+import time
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cpdilate import prodsys
+from cpdilate.chan import apply_kraus, classify
+from cpdilate.dilation import (
+    PSD_FLOOR,
+    build_big_space,
+    build_dilation_space,
+    lift_operators,
+    verify_e_dilation,
+)
+from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, dagger, fro, hermitize
+from cpdilate.prodsys import (
+    ZERO,
+    GridPoint,
+    build_product_system,
+    grid_points,
+    product_unitary,
+    verify_representation,
+)
+from cpdilate.strongcomm import strong_commutation_certificate
+
+from conftest import CommutingFamily, mix_of_unitaries
+
+DILATION_KEYS = (
+    "isometry", "coisometry", "dilation", "semigroup", "multiplicativity", "p_increase_min_eig",
+)
+REPRESENTATION_KEYS = ("identity", "homomorphism", "coisometry")
+
+
+def _units(n):
+    units = []
+    for r in range(n):
+        for c in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[r, c] = 1.0
+            units.append(e)
+    return units
+
+
+def _kraus_power(theta, phi, g, x):
+    """Theta^a(Phi^b(x)), one Kraus application at a time."""
+    out = np.asarray(x, dtype=complex)
+    for _ in range(g.b):
+        out = apply_kraus(phi, out)
+    for _ in range(g.a):
+        out = apply_kraus(theta, out)
+    return out
+
+
+def _loop_alpha(res, g, b):
+    return sum(m @ b @ dagger(m) for m in res.v_blocks_for(g))
+
+
+def _loop_span_projector(dsp, limit):
+    cover = sum(
+        f @ dagger(f) for f in (dsp.factor_block(g) for g in dsp.big.points if g <= limit)
+    )
+    w, v = np.linalg.eigh(hermitize(cover))
+    kept = v[:, w > 1e-10 * w[-1]]
+    return kept @ dagger(kept)
+
+
+def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
+    """The six dilation residuals, each a max over matrix units, words and points."""
+    dsp = res.dsp
+    units = _units(res.sys.dim_h)
+    pts = grid_points(grid_limit)
+    eye_k = np.eye(dsp.dim_k, dtype=complex)
+    out = dict.fromkeys(DILATION_KEYS, 0.0)
+
+    def worst(key, value):
+        out[key] = max(out[key], value)
+
+    for g in pts:
+        for x in units:
+            rhs = res.compress(_loop_alpha(res, g, res.embed(x)))
+            worst("dilation", fro(_kraus_power(theta, phi, g, x) - rhs))
+        for x in units:
+            for y in units:
+                lhs = _loop_alpha(res, g, res.embed(x @ y))
+                rhs = _loop_alpha(res, g, res.embed(x)) @ _loop_alpha(res, g, res.embed(y))
+                worst("multiplicativity", fro(lhs - rhs))
+        worst("coisometry", fro(_loop_alpha(res, g, eye_k) - eye_k))
+        p_g = _loop_span_projector(dsp, dsp.horizon - g)
+        mats = res.v_blocks_for(g)
+        for ix, vx in enumerate(mats):
+            for iy, vy in enumerate(mats):
+                inner = 1.0 if ix == iy else 0.0
+                worst("isometry", fro(dagger(vx) @ vy - inner * p_g))
+        gap = hermitize(_loop_alpha(res, g, res.p) - res.p)
+        out["p_increase_min_eig"] = min(
+            out["p_increase_min_eig"], float(np.linalg.eigvalsh(gap)[0])
+        )
+
+    for g in pts:
+        for h in pts:
+            if not (g + h) <= grid_limit:
+                continue
+            for x in units:
+                lhs = _loop_alpha(res, g, _loop_alpha(res, h, res.embed(x)))
+                rhs = _loop_alpha(res, g + h, res.embed(x))
+                worst("semigroup", fro(lhs - rhs))
+    return out
+
+
+def oracle_verify_representation(sys, horizon, tol=DEFAULT_TOL) -> dict:
+    """The three representation residuals with dense Kronecker products.
+
+    Reads `prodsys.representation_matrix` through the module, so a test that
+    replaces it reaches both paths.
+    """
+    n = sys.dim_h
+    reps = {g: prodsys.representation_matrix(sys, g) for g in grid_points(horizon)}
+    theta, phi = sys.theta(), sys.phi()
+    unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
+    out = dict.fromkeys(REPRESENTATION_KEYS, 0.0)
+    for g, rep in reps.items():
+        fd = sys.fiber_dim(g)
+        for x in _units(n):
+            lhs = rep @ np.kron(np.eye(fd, dtype=complex), x) @ dagger(rep)
+            out["identity"] = max(out["identity"], fro(lhs - _kraus_power(theta, phi, g, x)))
+        if unital:
+            out["coisometry"] = max(out["coisometry"], fro(rep @ dagger(rep) - np.eye(n)))
+    for g1 in grid_points(horizon):
+        for g2 in grid_points(horizon - g1):
+            u = product_unitary(sys, g1, g2)
+            lhs = reps[g1 + g2] @ np.kron(u, np.eye(n, dtype=complex))
+            rhs = reps[g1] @ np.kron(np.eye(sys.fiber_dim(g1), dtype=complex), reps[g2])
+            out["homomorphism"] = max(out["homomorphism"], fro(lhs - rhs))
+    return out
+
+
+def dilation_residuals(rep) -> dict:
+    return {
+        "isometry": rep.isometry_residual,
+        "coisometry": rep.coisometry_residual,
+        "dilation": rep.dilation_residual,
+        "semigroup": rep.semigroup_residual,
+        "multiplicativity": rep.multiplicativity_residual,
+        "p_increase_min_eig": rep.p_increase_min_eig,
+    }
+
+
+def representation_residuals(rep) -> dict:
+    return {
+        "identity": rep.identity_residual,
+        "homomorphism": rep.homomorphism_residual,
+        "coisometry": rep.coisometry_residual,
+    }
+
+
+def assert_agree(got: dict, want: dict, abs_tol: float = 1e-12):
+    assert got.keys() == want.keys()
+    for key in got:
+        assert abs(got[key] - want[key]) <= abs_tol, (key, got[key], want[key])
+
+
+def mix_pair(n, lengths, seed):
+    family = CommutingFamily(n, np.random.default_rng(seed))
+    return tuple(mix_of_unitaries(family, k) for k in lengths)
+
+
+def make_system(theta, phi):
+    return build_product_system(theta, phi, strong_commutation_certificate(theta, phi))
+
+
+def lifted(theta, phi, horizon, margin):
+    sys_ = make_system(theta, phi)
+    big, hat = build_big_space(sys_, horizon)
+    return sys_, lift_operators(build_dilation_space(big, hat, margin), sys_)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    lengths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    horizon=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    margin=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+)
+def test_residuals_match_loop_oracles(seed, n, lengths, horizon, margin):
+    horizon = GridPoint(*horizon)
+    margin = GridPoint(min(margin[0], horizon.a), min(margin[1], horizon.b))
+    # The oracle costs n^4 fd dim_k^3 per grid point; keep each draw under a second.
+    assume(n * lengths[0] ** horizon.a * lengths[1] ** horizon.b <= 54)
+    theta, phi = mix_pair(n, lengths, seed)
+    sys_, res = lifted(theta, phi, horizon, margin)
+
+    assert_agree(
+        dilation_residuals(verify_e_dilation(res, theta, phi, margin)),
+        oracle_verify_e_dilation(res, theta, phi, margin),
+    )
+    assert_agree(
+        representation_residuals(verify_representation(sys_, horizon)),
+        oracle_verify_representation(sys_, horizon),
+    )
+
+
+@pytest.mark.parametrize("n, horizon", [(2, (2, 2)), (3, (1, 2))])
+def test_broken_lift_moves_every_residual(n, horizon):
+    theta, phi = mix_pair(n, (2, 2), 7)
+    _, res = lifted(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
+    margin = res.dsp.margin
+    assert verify_e_dilation(res, theta, phi, margin).passed
+    # A V_(1,0) shrunk by 0.9 is no isometry, alpha_(1,0)(1) = 0.81 and
+    # alpha_(1,0)(p) no longer dominates p.
+    blocks = dict(res.v_blocks)
+    blocks[GridPoint(1, 0)] = 0.9 * blocks[GridPoint(1, 0)]
+    broken = dataclasses.replace(res, v_blocks=blocks)
+    got = dilation_residuals(verify_e_dilation(broken, theta, phi, margin))
+    want = oracle_verify_e_dilation(broken, theta, phi, margin)
+    for values in (got, want):
+        assert values["p_increase_min_eig"] < -PSD_FLOOR
+        for key in DILATION_KEYS[:-1]:
+            assert values[key] > DEFAULT_VERIFY_TOL, key
+    assert_agree(got, want)
+
+
+def test_isometry_sees_overlapping_words():
+    # Two words sharing one operator: every diagonal block V_x^* V_x is still
+    # P_g, and only the off-diagonal block V_0^* V_1 = P_g shows the defect.
+    theta, phi = mix_pair(2, (2, 2), 7)
+    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    g = GridPoint(1, 1)
+    blocks = dict(res.v_blocks)
+    blocks[g] = blocks[g].copy()
+    blocks[g][1] = blocks[g][0]
+    broken = dataclasses.replace(res, v_blocks=blocks)
+    got = verify_e_dilation(broken, theta, phi, g).isometry_residual
+    want = oracle_verify_e_dilation(broken, theta, phi, g)["isometry"]
+    assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["scaled", "perturbed"])
+def test_broken_representation_moves_every_residual(defect, monkeypatch):
+    sys_ = make_system(*mix_pair(2, (2, 3), 8))
+    horizon = GridPoint(2, 2)
+    assert verify_representation(sys_, horizon).passed
+    honest = prodsys.representation_matrix
+    rng = np.random.default_rng(9)
+    seen: dict = {}
+
+    def broken(system, g):
+        # Memoized, so that both paths see the same defective matrices.
+        if g not in seen:
+            rep = honest(system, g)
+            if g == ZERO:
+                seen[g] = rep
+            elif defect == "scaled":
+                seen[g] = 0.9 * rep
+            else:
+                noise = rng.normal(size=rep.shape) + 1j * rng.normal(size=rep.shape)
+                seen[g] = rep + 1e-3 * noise
+        return seen[g]
+
+    monkeypatch.setattr(prodsys, "representation_matrix", broken)
+    got = representation_residuals(verify_representation(sys_, horizon))
+    want = oracle_verify_representation(sys_, horizon)
+    for values in (got, want):
+        for key in REPRESENTATION_KEYS:
+            assert values[key] > DEFAULT_VERIFY_TOL, key
+    assert_agree(got, want)
+
+
+def test_wide_fiber_verifies_in_under_a_second():
+    # M_3 mix/mix at (3,3): dim K = 192 and 81 products per grid point.
+    theta, phi = mix_pair(3, (2, 2), 5)
+    _, res = lifted(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
+    assert res.dsp.dim_k == 192
+    start = time.perf_counter()
+    rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
+    assert time.perf_counter() - start < 1.0
+    assert rep.passed
