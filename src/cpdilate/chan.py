@@ -259,27 +259,36 @@ def kraus_equivalence_unitary(
 def _equivalence_unitary(ma: Array, mb: Array, tol: float) -> Array:
     """Unitary u with Ma = Mb u^T for two n^2 x L Kraus matrices of one map.
 
-    The relation is consistent exactly when both present one map, so the
-    support part of u is the minimum-norm least-squares solution, and the
-    kernel parts are joined by deterministic orthonormal completions. Singular
-    values at or below sqrt(tol) (the Choi-eigenvalue cutoff) count as kernel.
+    The relation is consistent exactly when both present one map. On the
+    support, u^T is the orthogonal-Procrustes solution, the polar factor of
+    Mb_r^* Ma (Mb_r the rank-r truncation of Mb): no unitary gives a smaller
+    residual, and it is unitary to machine precision. The kernel parts are
+    joined by deterministic orthonormal completions. Singular values at or
+    below sqrt(tol) (the Choi-eigenvalue cutoff) count as kernel.
+
+    The least-squares solution, completed the same way, is unitary only to
+    roundoff times the condition number of Mb_r; it serves as the check
+    that the completion succeeded.
     """
     length = ma.shape[1]
     wa, sa, vah = np.linalg.svd(ma, full_matrices=False)
     wb, sb, vbh = np.linalg.svd(mb, full_matrices=False)
     cut = np.sqrt(tol) * max(1.0, float(sa[0]))
     rank = int(np.sum(sb > cut))
-    pinv_mb = dagger(vbh[:rank]) @ ((1.0 / sb[:rank])[:, None] * dagger(wb[:, :rank]))
-    u = (pinv_mb @ ma).T
+    coef = dagger(wb[:, :rank]) @ ma
+    u = (dagger(vbh[:rank]) @ (coef / sb[:rank, None])).T
+    cross = (dagger(vbh[:rank]) @ (coef * sb[:rank, None])).T
     if rank < length:
         # Operator-coefficient supports are spanned by conj(right singular vectors).
         pa = complete_orthonormal(vah[:rank].T, length)
         pb = complete_orthonormal(vbh[:rank].T, length)
         u = u + pa @ dagger(pb)
+        cross = cross + pa @ dagger(pb)
     unitarity = fro(dagger(u) @ u - np.eye(length))
     if unitarity > 1e-6:
         raise EquivalenceCompletionError(unitarity)
-    return u
+    w, _, vh = np.linalg.svd(cross)
+    return w @ vh
 
 
 # ---------------------------------------------------------------------------

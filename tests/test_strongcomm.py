@@ -280,6 +280,18 @@ class TestCertificate:
         cert = strong_commutation_certificate(theta, phi)
         assert cert.intertwining_residual <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lopsided_weights_give_unitary_to_roundoff(self, seed):
+        # A Kraus weight of 1e-4 makes Mb ill-conditioned; a least-squares u
+        # was unitary only to ~1e-12 here, the Procrustes u is to ~1e-15.
+        family = CommutingFamily(2, np.random.default_rng(seed))
+        theta = KrausFamily(2, (family.member(),))
+        w = 1e-4
+        phi = KrausFamily(2, (np.sqrt(w) * family.member(), np.sqrt(1 - w) * family.member()))
+        cert = strong_commutation_certificate(theta, phi)
+        assert cert.unitarity_residual <= 2e-14
+        assert cert.intertwining_residual <= 2e-14
+
 
 class TestVerifyCertificate:
     def test_valid_certificate_passes(self, corner_pair):
