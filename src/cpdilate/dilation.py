@@ -53,10 +53,10 @@ from .prodsys import (
     ZERO,
     GridPoint,
     TwistedProductSystem,
-    _iterated_map,
+    _BlockFlips,
+    _kraus_grid,
     _matrix_units,
     grid_points,
-    product_unitary,
     representation_matrix,
 )
 
@@ -64,6 +64,12 @@ from .prodsys import (
 PSD_FLOOR = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
+# span_projector keeps the eigenvalues of F F^* above this times the largest.
+SPAN_CUTOFF = 1e-10
+# minimality_check's span loop keeps directions above these, relative to the
+# largest: eigenvalues of the Gram route for wide piles, singular values else.
+SPAN_GRAM_CUTOFF = 1e-10
+SPAN_SVD_CUTOFF = 1e-8
 # Rounds of the minimality span loop: products of at most this many generators.
 SPAN_DEPTH_CAP = 8
 
@@ -88,34 +94,39 @@ class BigSpace:
 class HatSemigroup:
     """Unit steps of the contraction semigroup on the big space.
 
-    _step(t, step) maps block t down to block t - step; products of steps
-    give the hat maps hat_g, and everything below the horizon stays below it.
+    _step_kernel(t, step) gives the step from block t down to block t - step;
+    products of steps give the hat maps hat_g, and everything below the
+    horizon stays below it.
     """
 
     def __init__(self, sys: TwistedProductSystem, big: BigSpace):
         self.sys = sys
         self.big = big
-        # The representations of the two unit steps; row f holds the entries
-        # (i, j) of the operator of the one-letter word f.
-        n = sys.dim_h
-        self._step_reps = {
-            step: representation_matrix(sys, step)
-            .reshape(n, -1, n)
-            .transpose(1, 0, 2)
-            .reshape(-1, n * n)
-            for step in (E_STEP, F_STEP)
-        }
+        self._flips = _BlockFlips(sys)
+        self._step_reps = {step: representation_matrix(sys, step) for step in (E_STEP, F_STEP)}
 
-    def _step(self, t: GridPoint, step: GridPoint) -> Array:
-        """(I_{X(t - step)} tensor rep_step)(u^* tensor I_n), u the product map
-        X(t - step) tensor X(step) -> X(t); entry ((b, i), (t, j)) is
-        sum_f rep_step[i, (f, j)] conj(u[t, (b, f)])."""
+    def _step_kernel(self, t: GridPoint, step: GridPoint) -> tuple[int, Array]:
+        """The unit step from block t down to block t - step,
+        (I_{X(t - step)} tensor rep_step)(u^* tensor I_n), as (count, kernel)
+        with the step equal to I_count tensor kernel.
+
+        The product map u : X(t - step) tensor X(step) -> X(t) is the identity
+        for the F step, and I_{m^(a-1)} tensor Sigma(b, 1) for the E step at
+        t = (a, b), which reorders only the last b letters and the new E. The
+        kernel is (I tensor rep_step)(u^* tensor I_n) on the reordered letters;
+        entry ((x, i), (y, j)) is sum_f rep_step[i, (f, j)] conj(u[y, (x, f)]).
+        """
         sys, n = self.sys, self.sys.dim_h
         base = t - step
-        fd_base = sys.fiber_dim(base)
-        u = product_unitary(sys, base, step).conj().reshape(-1, sys.fiber_dim(step))
-        out = (u @ self._step_reps[step]).reshape(-1, fd_base, n, n)  # [t, b, i, j]
-        return out.transpose(1, 2, 0, 3).reshape(fd_base * n, -1)
+        rep = self._step_reps[step]
+        sigma = self._flips.get(base.b, 1) if step == E_STEP else None
+        if sigma is None:
+            return sys.fiber_dim(base), rep
+        fd_in = sys.k**base.b
+        # Row f holds the entries (i, j) of the operator of the one-letter word f.
+        letters = rep.reshape(n, sys.m, n).transpose(1, 0, 2).reshape(sys.m, n * n)
+        out = (sigma.conj().reshape(-1, sys.m) @ letters).reshape(-1, fd_in, n, n)  # [y, x, i, j]
+        return sys.m**base.a, out.transpose(1, 2, 0, 3).reshape(fd_in * n, -1)
 
 
 def build_big_space(
@@ -163,11 +174,14 @@ class DilationSpace:
         the lift.
         """
         big = self.big
-        keep = np.repeat([g <= limit for g in big.points], [big.dims[g] for g in big.points])
-        cols = self.factor[:, keep]
-        cover = cols @ dagger(cols)
+        cover = np.zeros((self.dim_k, self.dim_k), dtype=complex)
+        for a in range(limit.a + 1):
+            # The points (a, 0..limit.b) are adjacent in the lexicographic order.
+            first = big.offsets[GridPoint(a, 0)]
+            cols = self.factor[:, first:big.block_slice(GridPoint(a, limit.b)).stop]
+            cover += cols @ dagger(cols)
         w, v = np.linalg.eigh(hermitize(cover))
-        kept = v[:, w > 1e-10 * w[-1]]
+        kept = v[:, w > SPAN_CUTOFF * w[-1]]
         return kept @ dagger(kept)
 
 
@@ -177,7 +191,7 @@ def build_dilation_space(big: BigSpace, hat: HatSemigroup, margin: GridPoint) ->
     Block s of the factor is T_s^* with T_s = hat_{horizon - s} on the top
     block, found from T_horizon = I by one unit step per grid point:
 
-        T_s^* = T_{s + step}^* _step(s + step, step)^*.
+        T_s^* = T_{s + step}^* step(s + step)^*.
 
     Each point steps up in the (0,1) direction while it can, so the path
     down from the top applies all (1,0) steps first. Requires both maps unital
@@ -199,8 +213,12 @@ def build_dilation_space(big: BigSpace, hat: HatSemigroup, margin: GridPoint) ->
         if s == top:
             continue
         step = F_STEP if s.b < top.b else E_STEP
-        above = factor[:, big.block_slice(s + step)]
-        factor[:, big.block_slice(s)] = above @ dagger(hat._step(s + step, step))
+        # The step is I_count tensor kernel: apply kernel^* to each of the
+        # count column groups of the block above.
+        count, kernel = hat._step_kernel(s + step, step)
+        above = np.ascontiguousarray(factor[:, big.block_slice(s + step)])
+        below = above.reshape(-1, kernel.shape[1]) @ dagger(kernel)
+        factor[:, big.block_slice(s)] = below.reshape(dim_k, -1)
 
     kept_min = float(np.linalg.eigvalsh(hermitize(factor @ dagger(factor)))[0])
     return DilationSpace(
@@ -277,14 +295,24 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
     range of T_{horizon - g}^*, the span of those generators.
     """
     n, k, top = sys.dim_h, dsp.dim_k, dsp.horizon
+    flips = _BlockFlips(sys)
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
         rest = top - g
-        fd_top, fd_g, fd_rest = (sys.fiber_dim(x) for x in (top, g, rest))
-        # Column block w of the product map X(g) tensor X(rest) -> X(top) is L_w.
-        left = product_unitary(sys, g, rest).reshape(fd_top, fd_g, fd_rest).transpose(1, 0, 2)
-        t_rest = dagger(dsp.factor_block(rest)).reshape(fd_rest, n * k)
-        v_blocks[g] = (left @ t_rest).reshape(fd_g, fd_top * n, k)
+        # The product map X(g) tensor X(rest) -> X(top) is
+        # I_{m^a} tensor Sigma(b, rest.a) tensor I: word (A, B) of X(g) sends
+        # (A', B') to A (Sigma (B, A')) B'. Rows of T_rest^* are (A', B').
+        ma, kb, ma_rest = sys.m**g.a, sys.k**g.b, sys.m**rest.a
+        sigma = flips.get(g.b, rest.a)
+        if sigma is None:
+            sigma = np.eye(ma_rest * kb, dtype=complex)
+        left = sigma.reshape(-1, kb, ma_rest).transpose(1, 0, 2)  # [B][(A'', B''), A']
+        t_rest = dagger(dsp.factor_block(rest)).reshape(ma_rest, -1)
+        moved = left @ t_rest  # [B, (A'', B''), (B', i, column)]
+        v = np.zeros((ma, kb, ma, moved.shape[1] * moved.shape[2]), dtype=complex)
+        diag = np.arange(ma)
+        v[diag, :, diag] = moved.reshape(kb, -1)
+        v_blocks[g] = v.reshape(ma * kb, -1, k)
     p = dsp.embed_h @ dagger(dsp.embed_h)
     return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks, p=p)
 
@@ -360,8 +388,8 @@ def verify_e_dilation(
             f"grid limit {grid_limit.key()} exceeds margin {dsp.margin.key()}"
         )
     n, k, e = sys.dim_h, dsp.dim_k, dsp.embed_h
-    units = _matrix_units(n)
     pts = grid_points(grid_limit)
+    powers = _kraus_grid(theta, phi, grid_limit, _matrix_units(n))
     eye_k = np.eye(k, dtype=complex)
     # thin[g][r] = A_r, shape (n, dim_k, fiber_dim(g)).
     thin = {g: (res.v_blocks_for(g) @ e).transpose(2, 1, 0) for g in pts}
@@ -376,7 +404,7 @@ def verify_e_dilation(
         fd = a.shape[2]
         # compress(alpha_g(embed e_rc)) at r * n + c
         corner = _outer_units(dagger(e) @ a).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        diff = _iterated_map(theta, phi, g, units) - corner.reshape(n * n, n, n)
+        diff = powers[g] - corner.reshape(n * n, n, n)
         dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
 
         # One (j, k) pair at a time keeps each temporary at n^2 dim_k^2 entries.
@@ -401,14 +429,14 @@ def verify_e_dilation(
         p_min = min(p_min, float(np.linalg.eigvalsh(gap)[0]))
 
     semi = 0.0
-    for g in pts:
-        for h in pts:
-            if not (g + h) <= grid_limit:
-                continue
-            a_h = thin[h]
+    for s in pts:
+        # alpha_s on every unit, formed once and compared with each split g + h = s.
+        outer = _outer_units(thin[s])
+        for g in grid_points(s):
+            a_h = thin[s - g]
             b = res.v_blocks_for(g) @ _hstack(a_h)  # (fd_g, dim_k, n fd_h)
             b = b.reshape(-1, k, n, a_h.shape[2]).transpose(2, 1, 0, 3).reshape(n, k, -1)
-            diff = _outer_units(b) - _outer_units(thin[g + h])
+            diff = _outer_units(b) - outer
             semi = max(semi, max_block_fro(diff, n, k))
 
     return DilationReport(
@@ -592,11 +620,11 @@ def minimality_check(
             top = max(float(evals[-1]), 0.0)
             if top <= 0.0:
                 return cols[:, :0]
-            return evecs[:, evals > 1e-10 * max(1.0, top)]
+            return evecs[:, evals > SPAN_GRAM_CUTOFF * max(1.0, top)]
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return cols[:, :0]
-        return u[:, s > 1e-8 * max(1.0, float(s[0]))]
+        return u[:, s > SPAN_SVD_CUTOFF * max(1.0, float(s[0]))]
 
     # Words in the generators applied to the embedded copy of H; only the
     # directions found in the previous round need another multiplication.

@@ -12,9 +12,19 @@ applying the elementary flip
     tau : F tensor E -> E tensor F ,   tau = conj(u) o swap ,
 
 to adjacent (F, E) slot pairs, where u is the strong-commutation certificate.
-The sweep always moves the leftmost out-of-order adjacent pair first; the
+`multiply` sweeps the leftmost out-of-order adjacent pair first; the
 block-sort permutation is fully commutative, so any sweep order agrees, and
 fixing one keeps results bit-reproducible.
+
+As a matrix, the product X(g1) tensor X(g2) -> X(g1+g2) in the sorted layout
+E^a1 F^b1 E^a2 F^b2 is I tensor Sigma(b1, a2) tensor I, where the block flip
+Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
+0. `_BlockFlips` builds each Sigma(b, a) once, with one product from the unit
+flip: Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from
+Sigma(b, a - 1) and Sigma(b, 1), in the order of the sweep. The verifiers and
+the dilation apply Sigma to the middle axis of a reshape instead of forming
+the product map, and `verify_representation` checks the homomorphism
+identity once per g1, batched over every g2.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
@@ -195,27 +205,66 @@ def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> Fiber
     return FiberVector(g, _sort_word(sys, raw.astype(complex), layout))
 
 
-def reorder_unitary(sys: TwistedProductSystem, layout: list[str]) -> Array:
-    """Matrix of the sorting sweep: mixed-layout coordinates to sorted ones."""
-    d = int(np.prod([sys.m if t == "E" else sys.k for t in layout], dtype=int))
-    return _sort_word(sys, np.eye(d, dtype=complex), list(layout))
+class _BlockFlips:
+    """The block flips Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b of one
+    product system, each built at most once.
+
+    `get(b, a)` is the (m^a k^b) x (k^b m^a) matrix, or None when a or b is 0
+    and Sigma is the identity. Sigma(b, 1) moves one E left past b F's, last
+    flip first: (tau tensor I)(I_k tensor Sigma(b - 1, 1)). Sigma(b, a) moves
+    the first E, then the rest: (I_m tensor Sigma(b, a - 1))(Sigma(b, 1)
+    tensor I).
+    """
+
+    def __init__(self, sys: TwistedProductSystem):
+        self.sys = sys
+        self._table: dict[tuple[int, int], Array] = {}
+
+    def get(self, b: int, a: int) -> Array | None:
+        if a == 0 or b == 0:
+            return None
+        if (b, a) in self._table:
+            return self._table[b, a]
+        m, k = self.sys.m, self.sys.k
+        fk = k**b
+        if a == 1 and b == 1:
+            out = self.sys.flip
+        elif a == 1:
+            tau = self.sys.flip.reshape(m, k, k, m)
+            prev = self.get(b - 1, 1).reshape(m, fk // k, fk // k, m)
+            # [e2, f2, f0, F', F0, e0] -> rows (e2, f2, F'), columns (f0, F0, e0)
+            out = np.tensordot(tau, prev, axes=(3, 0)).transpose(0, 1, 3, 2, 4, 5)
+        else:
+            one = self.get(b, 1).reshape(m, fk, fk, m)
+            ma = m ** (a - 1)
+            rest = self.get(b, a - 1).reshape(ma, fk, fk, ma)
+            # [e1, Fb0, e10, A2, Fb2, A0] -> rows (e1, A2, Fb2), columns (Fb0, e10, A0)
+            out = np.tensordot(one, rest, axes=(1, 2)).transpose(0, 3, 4, 1, 2, 5)
+        out = np.ascontiguousarray(out).reshape(m**a * fk, fk * m**a)
+        self._table[b, a] = out
+        return out
 
 
 def product_unitary(sys: TwistedProductSystem, g1: GridPoint, g2: GridPoint) -> Array:
-    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2) on coordinates."""
-    layout = ["E"] * g1.a + ["F"] * g1.b + ["E"] * g2.a + ["F"] * g2.b
-    return reorder_unitary(sys, layout)
+    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2) on coordinates,
+    I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2}."""
+    sigma = _BlockFlips(sys).get(g1.b, g2.a)
+    if sigma is None:
+        return np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
+    outer = np.eye(sys.m**g1.a, dtype=complex)
+    return np.kron(outer, np.kron(sigma, np.eye(sys.k**g2.b, dtype=complex)))
 
 
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
     """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b}."""
     n = sys.dim_h
-    mats = [np.eye(n, dtype=complex)]
-    for _ in range(g.a):
-        mats = [w @ t for w in mats for t in sys.kraus_t]
-    for _ in range(g.b):
-        mats = [w @ s for w in mats for s in sys.kraus_s]
-    return np.hstack(mats)
+    words = np.eye(n, dtype=complex)[None]
+    for ops, times in ((sys.kraus_t, g.a), (sys.kraus_s, g.b)):
+        stack = np.stack(ops)
+        for _ in range(times):
+            # Word w followed by letter t lands at w * len(ops) + t.
+            words = (words[:, None] @ stack).reshape(-1, n, n)
+    return words.transpose(1, 0, 2).reshape(n, -1)
 
 
 def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array:
@@ -225,14 +274,23 @@ def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array
     return rep @ np.kron(x.coords.reshape(-1, 1), np.eye(n, dtype=complex))
 
 
-def _iterated_map(theta: KrausFamily, phi: KrausFamily, g: GridPoint, x: Array) -> Array:
-    """Theta^a(Phi^b(x)) computed by repeated Kraus application, for each
-    matrix of a (count, n, n) stack x."""
-    out = np.asarray(x, dtype=complex)
-    for fam, times in ((phi, g.b), (theta, g.a)):
+def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array) -> dict:
+    """{g: Theta^a(Phi^b(x))} for every grid point g <= limit, for each matrix of
+    a (count, n, n) stack x.
+
+    One Kraus application per point, in the order of applying Phi b times and
+    then Theta a times: (0, b) is Phi of (0, b - 1), and (a, b) is Theta of
+    (a - 1, b).
+    """
+    kraus = {}
+    for step, fam in ((E_STEP, theta), (F_STEP, phi)):
         ops = np.stack(fam.ops)[:, None]
-        for _ in range(times):
-            out = (ops @ out @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+        kraus[step] = (ops, ops.conj().swapaxes(-1, -2))
+    out = {ZERO: np.asarray(x, dtype=complex)}
+    for g in grid_points(limit)[1:]:  # lexicographic: both predecessors come first
+        step = F_STEP if g.a == 0 else E_STEP
+        ops, ops_h = kraus[step]
+        out[g] = (ops @ out[g - step] @ ops_h).sum(axis=0)
     return out
 
 
@@ -266,30 +324,43 @@ def verify_representation(
 
     theta, phi = sys.theta(), sys.phi()
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
-    units = _matrix_units(n)
+    powers = _kraus_grid(theta, phi, horizon, _matrix_units(n))
 
     ident = 0.0
     coiso = 0.0
     for g, rep in reps.items():
         # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
         lhs = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
-        diff = lhs - _iterated_map(theta, phi, g, units)
+        diff = lhs - powers[g]
         ident = max(ident, max_block_fro(diff.reshape(-1, n), n * n, n))
         if unital:
             flat = rep.reshape(n, -1)
             coiso = max(coiso, fro(flat @ dagger(flat) - np.eye(n)))
 
+    flips = _BlockFlips(sys)
     hom = 0.0
     for g1 in grid_points(horizon):
+        fd1 = sys.fiber_dim(g1)
         words1 = reps[g1].transpose(1, 0, 2)  # (fd1, n, n), one operator per word
-        for g2 in grid_points(horizon - g1):
-            u = product_unitary(sys, g1, g2)
-            # Both sides as (fd1, n, fd2 n) stacks, block a of the n x (fd1 fd2 n) matrices.
-            # rep_{g1+g2} (U tensor I): column (p, j) is sum_t rep[:, t, j] u[t, p].
-            lhs = (u.T @ reps[g1 + g2]).reshape(n, len(words1), -1).transpose(1, 0, 2)
-            # rep_{g1} (I tensor rep_{g2}): column (a, b, j) is W_a rep_{g2}[:, (b, j)].
-            rhs = words1 @ reps[g2].reshape(n, -1)
-            hom = max(hom, fro(lhs - rhs))
+        splits = grid_points(horizon - g1)
+        # Both sides for every g2 at once, as (fd1, n, sum_g2 fd2 n) stacks:
+        # block a of the n x (fd1 fd2 n) matrices of each split, side by side.
+        # rep_{g1} (I tensor rep_{g2}): column (a, b, j) is W_a rep_{g2}[:, (b, j)].
+        rhs = words1 @ np.concatenate([reps[g2].reshape(n, -1) for g2 in splits], axis=1)
+        lhs = []
+        for g2 in splits:
+            # rep_{g1+g2} (U tensor I) with U = I tensor Sigma(b1, a2) tensor I:
+            # Sigma^T on the middle axis of the sorted word E^a1 (E^a2 F^b1) F^b2.
+            rep = reps[g1 + g2]
+            sigma = flips.get(g1.b, g2.a)
+            if sigma is not None:
+                rep = sigma.T @ rep.reshape(n * sys.m**g1.a, sigma.shape[0], -1)
+            lhs.append(rep.reshape(n, fd1, -1).transpose(1, 0, 2))
+        diff = np.concatenate(lhs, axis=2) - rhs
+        sq = (diff.real**2 + diff.imag**2).sum(axis=(0, 1))
+        # Each split's squared Frobenius norm is the sum over its column segment.
+        starts = np.cumsum([0] + [sys.fiber_dim(g2) * n for g2 in splits[:-1]])
+        hom = max(hom, float(np.sqrt(np.add.reduceat(sq, starts).max())))
 
     return RepresentationReport(
         horizon=horizon,

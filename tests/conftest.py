@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpdilate import prodsys
 from cpdilate.chan import KrausFamily, identity_channel
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,6 +34,17 @@ def mix_of_unitaries(family: CommutingFamily, count: int) -> KrausFamily:
     return KrausFamily(family.n, ops)
 
 
+def pauli_mix_pair(p: float, q: float, rng: np.random.Generator) -> tuple[KrausFamily, KrausFamily]:
+    """Mixes of I with Z and of I with X, each with its Kraus operators mixed
+    by a random unitary: a strongly commuting pair whose words anticommute,
+    so that its flip has complex entries."""
+    pair = []
+    for w, pauli in ((p, PAULI_Z), (q, PAULI_X)):
+        ops = np.stack((np.sqrt(w) * np.eye(2, dtype=complex), np.sqrt(1 - w) * pauli))
+        pair.append(KrausFamily(2, tuple(np.tensordot(random_unitary(2, rng), ops, axes=1))))
+    return tuple(pair)
+
+
 def random_contractive(n: int, m: int, rng: np.random.Generator) -> KrausFamily:
     """m random complex n x n operators scaled so that sum T T* < I; generically non-commuting."""
     ops = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(m)]
@@ -49,6 +61,15 @@ def oracle_super(k: KrausFamily) -> np.ndarray:
     for t in k.ops:
         s += np.kron(np.conj(t), t)
     return s
+
+
+def oracle_product_unitary(sys, g1, g2) -> np.ndarray:
+    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2), by running the
+    flip-by-flip sweep of `prodsys._sort_word` over the identity of the mixed
+    word space E^a1 F^b1 E^a2 F^b2."""
+    layout = ["E"] * g1.a + ["F"] * g1.b + ["E"] * g2.a + ["F"] * g2.b
+    eye = np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
+    return prodsys._sort_word(sys, eye, layout)
 
 
 def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:

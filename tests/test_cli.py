@@ -1,10 +1,14 @@
 import io
 import json
+import math
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from cpdilate import dilation, prodsys
 from cpdilate.chan import KrausFamily, channel_to_json, identity_channel
@@ -329,3 +333,95 @@ class TestStochasticFlags:
         monkeypatch.setenv("CPDILATE_TOL", "1e-3")
         code, rep = run_cli("classify", str(FIXTURES / "channel_identity_2.json"))
         assert rep["tol"] == 1e-3
+
+
+# JSON values for the input-boundary fuzz test. Numbers stay small: a huge
+# "dim" or entry is a question of resources, not of shape, and finite floats
+# stay far from overflow so that no arithmetic warning is provoked.
+_KEYS = st.sampled_from(["dim", "kraus", "choi", "matrix", "theta", "phi", "certificate", "u"])
+_NUMBERS = (
+    st.integers(-2, 4)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+_LEAVES = st.none() | st.booleans() | _NUMBERS | st.text(max_size=3)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=2), kids, max_size=4),
+    max_leaves=16,
+)
+# Near-valid channels and the fixture channels, so that the fuzz also reaches
+# the pipeline behind the decoder.
+_ENTRY = st.floats(-0.5, 0.5) | st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2) | _LEAVES
+
+
+def _near_channel(d: int):
+    matrix = st.lists(st.lists(_ENTRY, min_size=d, max_size=d), min_size=d, max_size=d)
+    return st.fixed_dictionaries(
+        {"dim": st.just(d) | _LEAVES},
+        optional={"kraus": st.lists(matrix, max_size=2), "choi": matrix, "matrix": _JSON},
+    )
+
+
+_FIXTURE_CHANNELS = [
+    json.loads((FIXTURES / f"channel_{name}.json").read_text())
+    for name in ("identity_2", "conj_z", "conj_x", "corner_collapse")
+]
+_CHANNEL = st.integers(1, 3).flatmap(_near_channel) | st.sampled_from(_FIXTURE_CHANNELS)
+_COMBINED = st.fixed_dictionaries(
+    {"theta": _CHANNEL, "phi": _CHANNEL}, optional={"certificate": _JSON}
+)
+# Channels three times as often as arbitrary values: a command needs every file valid.
+_DOCUMENT = st.one_of(_CHANNEL, _CHANNEL, _CHANNEL, _JSON, _COMBINED)
+_COMMANDS = {
+    "classify": (1, ["classify"]),
+    "commute": (2, ["commute"]),
+    "strong-commute": (2, ["strong-commute"]),
+    "prodsys": (2, ["prodsys", "verify"]),
+    "dilate": (2, ["dilate"]),
+}
+_TAILS = {
+    "prodsys": ["--horizon", "1", "1"],
+    "dilate": ["--horizon", "1", "1", "--margin", "1", "1"],
+}
+
+
+def _failed_verification(report) -> bool:
+    """A report of a command whose verification failed: it names the command
+    and either a false verdict or the non-commuting pair it stopped at."""
+    if not isinstance(report, dict) or "command" not in report:
+        return False
+    verdicts = [report.get(key) for key in ("passed", "commute", "strongly_commute")]
+    return False in verdicts or "error" in report
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    documents=st.lists(_DOCUMENT, min_size=2, max_size=2)
+    | st.lists(st.sampled_from(_FIXTURE_CHANNELS), min_size=2, max_size=2),
+    combined=st.booleans(),
+)
+def test_fuzzed_inputs_exit_by_contract(command, documents, combined):
+    """Any JSON document: no exception escapes `main`, the exit code is 0, 1
+    or 2, and exit 1 comes only with the report of a failed verification."""
+    count, head = _COMMANDS[command]
+    if command == "dilate" and combined:
+        count = 1  # one combined {"theta", "phi", "certificate"?} file
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(documents[:count]):
+            path = Path(tmp) / f"input{i}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        code, report = run_cli(*head, *paths, *_TAILS.get(command, []))
+    event(f"{command} exits {code}")
+    assert code in (0, 1, 2)
+    assert isinstance(report, dict)
+    if code == 1:
+        assert _failed_verification(report), report
+    elif code == 2:
+        assert "error" in report and "command" not in report

@@ -27,7 +27,6 @@ from cpdilate.prodsys import (
     GridPoint,
     build_product_system,
     grid_points,
-    product_unitary,
     representation_matrix,
 )
 from cpdilate.strongcomm import strong_commutation_certificate
@@ -38,6 +37,8 @@ from conftest import (
     CommutingFamily,
     corner_collapse_channel,
     mix_of_unitaries,
+    oracle_product_unitary,
+    pauli_mix_pair,
     random_unitary,
 )
 
@@ -83,7 +84,8 @@ class HatOracle:
             for t in self.big.points:
                 if not g <= t:
                     continue
-                out[t] = prev[t - step] @ self.hat._step(t, step)
+                count, kernel = self.hat._step_kernel(t, step)
+                out[t] = prev[t - step] @ np.kron(np.eye(count, dtype=complex), kernel)
         self._cache[g] = out
         return out
 
@@ -99,7 +101,7 @@ class HatOracle:
             if not g <= t:
                 continue
             base = t - g
-            u = product_unitary(sys, base, g)
+            u = oracle_product_unitary(sys, base, g)
             out[t] = np.kron(np.eye(sys.fiber_dim(base), dtype=complex), rep) @ np.kron(
                 dagger(u), np.eye(n, dtype=complex)
             )
@@ -188,6 +190,8 @@ def named_pair(name):
         return corner_collapse_channel(), identity_channel(2)
     if name == "mix/conj":
         return mix_of_unitaries(family, 2), KrausFamily(2, (family.member(),))
+    if name == "rotated":
+        return pauli_mix_pair(0.3, 0.6, family.rng)
     return mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
 
 
@@ -200,6 +204,7 @@ ORACLE_CASES = [
     ("corner", (2, 2)),
     ("mix/conj", (3, 3)),
     ("mix/mix", (3, 3)),
+    ("rotated", (2, 2)),
 ]
 
 
@@ -267,6 +272,17 @@ class TestBigSpace:
             assert set(composed) == set(direct)
             worst = max(fro(composed[t] - direct[t]) for t in composed)
             assert worst < 1e-10
+
+    def test_steps_match_direct_definition_with_complex_flip(self):
+        # With a complex flip, a step that conjugates or transposes it is seen.
+        sys_, big, hat, _ = pipeline(*named_pair("rotated"), GridPoint(2, 2), GridPoint(1, 1))
+        assert np.abs(sys_.flip.imag).max() > 0.1
+        oracle = HatOracle(hat)
+        for g in (E_STEP, F_STEP, GridPoint(2, 1), GridPoint(1, 1), GridPoint(2, 2)):
+            composed = oracle.blocks(g)
+            direct = oracle.direct_blocks(g)
+            assert set(composed) == set(direct)
+            assert max(fro(composed[t] - direct[t]) for t in composed) < 1e-10
 
 
 class TestDilationSpace:
@@ -347,7 +363,7 @@ class TestLiftedOperators:
                 got = dagger(e) @ res.alpha(g, e @ x @ dagger(e)) @ e
                 assert fro(got - word @ x @ dagger(word)) < 1e-9
 
-    @pytest.mark.parametrize("name", ["corner", "mix/mix"])
+    @pytest.mark.parametrize("name", ["corner", "mix/mix", "rotated"])
     def test_lift_shifts_generators(self, name):
         # V_g(e_w) sends the generator (u, zeta tensor h) to
         # (g + u, (e_w . zeta) tensor h) for every u <= horizon - g.
@@ -356,7 +372,7 @@ class TestLiftedOperators:
         n = sys_.dim_h
         for g in grid_points(dsp.margin):
             for u in grid_points(dsp.horizon - g):
-                mult = product_unitary(sys_, g, u)
+                mult = oracle_product_unitary(sys_, g, u)
                 fd_u = sys_.fiber_dim(u)
                 for w, v in enumerate(res.v_blocks_for(g)):
                     left = np.kron(mult[:, w * fd_u:(w + 1) * fd_u], np.eye(n))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,13 @@ from cpdilate.strongcomm import (
     strong_commutation_certificate,
 )
 
-from conftest import CommutingFamily, mix_of_unitaries, random_unitary
+from conftest import (
+    CommutingFamily,
+    close,
+    mix_of_unitaries,
+    oracle_product_unitary,
+    random_unitary,
+)
 
 
 def make_system(theta, phi, **kwargs):
@@ -184,6 +192,35 @@ class TestRepresentation:
             coords[w] * rep[:, 2 * w : 2 * w + 2] for w in range(4)
         )
         assert fro(got - expected) < 1e-12
+
+
+class TestProductMap:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        lengths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_block_flips_match_sweep_and_multiply(self, seed, n, lengths):
+        # Every split g1 + g2 <= (3,3): the map built from the block-flip
+        # table against the flip-by-flip sweep, and against multiply. Both
+        # are defined for any unitary flip; a random one is complex.
+        rng = np.random.default_rng(seed)
+        family = CommutingFamily(n, rng)
+        sys_ = make_system(*(mix_of_unitaries(family, k) for k in lengths))
+        sys_ = dataclasses.replace(sys_, flip=random_unitary(sys_.m * sys_.k, rng))
+        for g in grid_points(GridPoint(3, 3)):
+            for g1 in grid_points(g):
+                g2 = g - g1
+                u = product_unitary(sys_, g1, g2)
+                assert np.abs(u - oracle_product_unitary(sys_, g1, g2)).max() <= 1e-13
+                x, y = (
+                    FiberVector(p, rng.normal(size=d) + 1j * rng.normal(size=d))
+                    for p, d in ((g1, sys_.fiber_dim(g1)), (g2, sys_.fiber_dim(g2)))
+                )
+                got = multiply(sys_, x, y)
+                assert got.grid == g
+                assert close(u @ np.kron(x.coords, y.coords), got.coords)
 
 
 class TestVerifyRepresentation:

@@ -9,13 +9,14 @@ checked against itself.
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdilate import prodsys
+from cpdilate import dilation, prodsys
 from cpdilate.chan import apply_kraus, classify
 from cpdilate.dilation import (
     PSD_FLOOR,
@@ -30,12 +31,17 @@ from cpdilate.prodsys import (
     GridPoint,
     build_product_system,
     grid_points,
-    product_unitary,
     verify_representation,
 )
 from cpdilate.strongcomm import strong_commutation_certificate
 
-from conftest import CommutingFamily, mix_of_unitaries
+from conftest import (
+    CommutingFamily,
+    mix_of_unitaries,
+    oracle_product_unitary,
+    pauli_mix_pair,
+    random_unitary,
+)
 
 DILATION_KEYS = (
     "isometry", "coisometry", "dilation", "semigroup", "multiplicativity", "p_increase_min_eig",
@@ -120,7 +126,8 @@ def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
 
 
 def oracle_verify_representation(sys, horizon, tol=DEFAULT_TOL) -> dict:
-    """The three representation residuals with dense Kronecker products.
+    """The three representation residuals with dense Kronecker products, one
+    split at a time, with the product map of the flip-by-flip sweep.
 
     Reads `prodsys.representation_matrix` through the module, so a test that
     replaces it reaches both paths.
@@ -139,7 +146,7 @@ def oracle_verify_representation(sys, horizon, tol=DEFAULT_TOL) -> dict:
             out["coisometry"] = max(out["coisometry"], fro(rep @ dagger(rep) - np.eye(n)))
     for g1 in grid_points(horizon):
         for g2 in grid_points(horizon - g1):
-            u = product_unitary(sys, g1, g2)
+            u = oracle_product_unitary(sys, g1, g2)
             lhs = reps[g1 + g2] @ np.kron(u, np.eye(n, dtype=complex))
             rhs = reps[g1] @ np.kron(np.eye(sys.fiber_dim(g1), dtype=complex), reps[g2])
             out["homomorphism"] = max(out["homomorphism"], fro(lhs - rhs))
@@ -288,3 +295,76 @@ def test_wide_fiber_verifies_in_under_a_second():
     rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
     assert time.perf_counter() - start < 1.0
     assert rep.passed
+
+
+def test_broken_flip_moves_homomorphism_residual():
+    # A flip that is unitary but not the certificate's breaks every split that
+    # reorders letters, on the block-flip path and on the sweep oracle alike.
+    sys_ = make_system(*mix_pair(2, (2, 3), 8))
+    horizon = GridPoint(2, 2)
+    assert verify_representation(sys_, horizon).passed
+    broken = dataclasses.replace(sys_, flip=random_unitary(6, np.random.default_rng(3)))
+    got = verify_representation(broken, horizon).homomorphism_residual
+    want = oracle_verify_representation(broken, horizon)["homomorphism"]
+    assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
+    assert abs(got - want) <= 1e-12
+
+
+def test_operation_path_never_sweeps(monkeypatch):
+    # The flip-by-flip sweep serves `multiply` only; every stage of a dilation
+    # takes its product maps from the block-flip table.
+    def refuse(*args, **kwargs):
+        raise AssertionError("_sort_word on the operation path")
+
+    theta, phi = pauli_mix_pair(0.3, 0.6, np.random.default_rng(4))
+    sys_ = make_system(theta, phi)
+    monkeypatch.setattr(prodsys, "_sort_word", refuse)
+    horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
+    assert verify_representation(sys_, horizon).passed
+    big, hat = build_big_space(sys_, horizon)
+    res = lift_operators(build_dilation_space(big, hat, margin), sys_)
+    assert verify_e_dilation(res, theta, phi, margin).passed
+
+
+def test_each_block_flip_built_once_per_call(monkeypatch):
+    built: list = []
+
+    class CountingFlips(prodsys._BlockFlips):
+        def get(self, b, a):
+            if a and b and (b, a) not in self._table:
+                built.append((id(self), b, a))
+            return super().get(b, a)
+
+    for module in (prodsys, dilation):
+        monkeypatch.setattr(module, "_BlockFlips", CountingFlips)
+    theta, phi = mix_pair(2, (2, 3), 6)
+    sys_ = make_system(theta, phi)
+    horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
+    big, hat = build_big_space(sys_, horizon)
+    for stage in (
+        lambda: verify_representation(sys_, horizon),
+        lambda: build_dilation_space(big, hat, margin),
+        lambda: lift_operators(build_dilation_space(big, hat, margin), sys_),
+    ):
+        built.clear()
+        stage()
+        assert built and len(set(built)) == len(built)
+        assert len({table for table, _, _ in built}) == 1
+
+
+def test_deep_grid_representation_is_cheap():
+    # M_2 mix/mix at (4,4): 625 splits, fibers of dimension up to 256.
+    sys_ = make_system(*mix_pair(2, (2, 2), 5))
+    horizon = GridPoint(4, 4)
+    verify_representation(sys_, horizon)
+    start = time.perf_counter()
+    assert verify_representation(sys_, horizon).passed
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        verify_representation(sys_, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 8 * 2**20
