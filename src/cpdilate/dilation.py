@@ -111,22 +111,23 @@ class HatSemigroup:
         with the step equal to I_count tensor kernel.
 
         The product map u : X(t - step) tensor X(step) -> X(t) is the identity
-        for the F step, and I_{m^(a-1)} tensor Sigma(b, 1) for the E step at
-        t = (a, b), which reorders only the last b letters and the new E. The
-        kernel is (I tensor rep_step)(u^* tensor I_n) on the reordered letters;
-        entry ((x, i), (y, j)) is sum_f rep_step[i, (f, j)] conj(u[y, (x, f)]).
+        for the F step. For the E step it leaves the leading E letters of
+        X(t - step) = X(a - 1, 0) tensor X(0, b) in place, so it is
+        I_{m^(a-1)} tensor u' with u' the product map of X(0, b) tensor X(E),
+        and the kernel is (I_{X(0, b)} tensor rep_step)(u'^* tensor I_n).
         """
         sys, n = self.sys, self.sys.dim_h
         base = t - step
         rep = self._step_reps[step]
-        sigma = self._flips.get(base.b, 1) if step == E_STEP else None
-        if sigma is None:
+        if step == F_STEP:
             return sys.fiber_dim(base), rep
-        fd_in = sys.k**base.b
-        # Row f holds the entries (i, j) of the operator of the one-letter word f.
-        letters = rep.reshape(n, sys.m, n).transpose(1, 0, 2).reshape(sys.m, n * n)
-        out = (sigma.conj().reshape(-1, sys.m) @ letters).reshape(-1, fd_in, n, n)  # [y, x, i, j]
-        return sys.m**base.a, out.transpose(1, 2, 0, 3).reshape(fd_in * n, -1)
+        tail = GridPoint(0, base.b)
+        fd_in = sys.fiber_dim(tail)
+        # Entry ((x, i), (w, j)) of the kernel is the sum over words v of
+        # (I tensor rep_step)[(x, i), (v, j)] conj(u'[w, v]).
+        lifted = np.kron(np.eye(fd_in, dtype=complex), rep).reshape(fd_in * n, -1, n)
+        kernel = self._flips.apply(tail, step, lifted, "C")
+        return sys.m**base.a, kernel.reshape(fd_in * n, -1)
 
 
 def build_big_space(
@@ -299,17 +300,17 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
         rest = top - g
-        # The product map X(g) tensor X(rest) -> X(top) is
-        # I_{m^a} tensor Sigma(b, rest.a) tensor I: word (A, B) of X(g) sends
-        # (A', B') to A (Sigma (B, A')) B'. Rows of T_rest^* are (A', B').
-        ma, kb, ma_rest = sys.m**g.a, sys.k**g.b, sys.m**rest.a
-        sigma = flips.get(g.b, rest.a)
-        if sigma is None:
-            sigma = np.eye(ma_rest * kb, dtype=complex)
-        left = sigma.reshape(-1, kb, ma_rest).transpose(1, 0, 2)  # [B][(A'', B''), A']
-        t_rest = dagger(dsp.factor_block(rest)).reshape(ma_rest, -1)
-        moved = left @ t_rest  # [B, (A'', B''), (B', i, column)]
-        v = np.zeros((ma, kb, ma, moved.shape[1] * moved.shape[2]), dtype=complex)
+        # The leading E letters of a word (A, B) of X(g) stay in front, so
+        # e_(A, B) . zeta = e_A tensor (e_B . zeta), with e_B . zeta the
+        # product map of X(0, b) tensor X(rest) applied to e_B tensor zeta.
+        tail = GridPoint(0, g.b)
+        ma, kb = sys.m**g.a, sys.fiber_dim(tail)
+        t_rest = dagger(dsp.factor_block(rest))  # rows (zeta, i)
+        # [B, B', (zeta, i), column] = delta_BB' T_rest^*
+        words = np.zeros((kb, kb) + t_rest.shape, dtype=complex)
+        words[np.arange(kb), np.arange(kb)] = t_rest
+        moved = flips.apply(tail, rest, words.reshape(kb, sys.fiber_dim(tail + rest), -1))
+        v = np.zeros((ma, kb, ma, moved[0].size), dtype=complex)
         diag = np.arange(ma)
         v[diag, :, diag] = moved.reshape(kb, -1)
         v_blocks[g] = v.reshape(ma * kb, -1, k)
@@ -389,7 +390,6 @@ def verify_e_dilation(
         )
     n, k, e = sys.dim_h, dsp.dim_k, dsp.embed_h
     pts = grid_points(grid_limit)
-    powers = _kraus_grid(theta, phi, grid_limit, _matrix_units(n))
     eye_k = np.eye(k, dtype=complex)
     # thin[g][r] = A_r, shape (n, dim_k, fiber_dim(g)).
     thin = {g: (res.v_blocks_for(g) @ e).transpose(2, 1, 0) for g in pts}
@@ -399,12 +399,12 @@ def verify_e_dilation(
     coiso = 0.0
     iso = 0.0
     p_min = 0.0
-    for g in pts:
+    for g, power in _kraus_grid(theta, phi, grid_limit, _matrix_units(n)):
         v, a = res.v_blocks_for(g), thin[g]
         fd = a.shape[2]
         # compress(alpha_g(embed e_rc)) at r * n + c
         corner = _outer_units(dagger(e) @ a).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        diff = powers[g] - corner.reshape(n * n, n, n)
+        diff = power - corner.reshape(n * n, n, n)
         dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
 
         # One (j, k) pair at a time keeps each temporary at n^2 dim_k^2 entries.

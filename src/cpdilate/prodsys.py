@@ -22,9 +22,10 @@ Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
 0. `_BlockFlips` builds each Sigma(b, a) once, with one product from the unit
 flip: Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from
 Sigma(b, a - 1) and Sigma(b, 1), in the order of the sweep. The verifiers and
-the dilation apply Sigma to the middle axis of a reshape instead of forming
-the product map, and `verify_representation` checks the homomorphism
-identity once per g1, batched over every g2.
+the dilation apply product maps through `_BlockFlips.apply`, Sigma on the
+middle axis of a reshape, the only place that knows the layout; and
+`verify_representation` checks the homomorphism identity once per g1,
+batched over every g2.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
@@ -244,15 +245,26 @@ class _BlockFlips:
         self._table[b, a] = out
         return out
 
+    def apply(self, g1: GridPoint, g2: GridPoint, x: Array, form: str = "N") -> Array:
+        """The product map U = I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2} of
+        X(g1) tensor X(g2) -> X(g1+g2), as U, U^T or conj(U) (form "N", "T" or
+        "C"), applied to the middle axis of a (pre, fiber_dim(g1+g2), post)
+        array x. Returns x itself when U is the identity.
+        """
+        sigma = self.get(g1.b, g2.a)
+        if sigma is None:
+            return x
+        op = {"N": sigma, "T": sigma.T, "C": sigma.conj()}[form]
+        pre, fd, post = x.shape
+        out = op @ x.reshape(pre * self.sys.m**g1.a, op.shape[1], -1)
+        return out.reshape(pre, fd, post)
+
 
 def product_unitary(sys: TwistedProductSystem, g1: GridPoint, g2: GridPoint) -> Array:
     """Multiplication map X(g1) tensor X(g2) -> X(g1+g2) on coordinates,
     I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2}."""
-    sigma = _BlockFlips(sys).get(g1.b, g2.a)
-    if sigma is None:
-        return np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
-    outer = np.eye(sys.m**g1.a, dtype=complex)
-    return np.kron(outer, np.kron(sigma, np.eye(sys.k**g2.b, dtype=complex)))
+    eye = np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
+    return _BlockFlips(sys).apply(g1, g2, eye[None])[0]
 
 
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
@@ -274,24 +286,29 @@ def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array
     return rep @ np.kron(x.coords.reshape(-1, 1), np.eye(n, dtype=complex))
 
 
-def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array) -> dict:
-    """{g: Theta^a(Phi^b(x))} for every grid point g <= limit, for each matrix of
-    a (count, n, n) stack x.
+def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array):
+    """Yield (g, Theta^a(Phi^b(x))) for every grid point g <= limit, for each
+    matrix of a (count, n, n) stack x.
 
     One Kraus application per point, in the order of applying Phi b times and
     then Theta a times: (0, b) is Phi of (0, b - 1), and (a, b) is Theta of
-    (a - 1, b).
+    (a - 1, b). Points come column by column (b outer, a inner), so only the
+    column's foot (0, b) and the latest point are held, however large the grid.
     """
-    kraus = {}
-    for step, fam in ((E_STEP, theta), (F_STEP, phi)):
+
+    def apply(fam: KrausFamily, y: Array) -> Array:
         ops = np.stack(fam.ops)[:, None]
-        kraus[step] = (ops, ops.conj().swapaxes(-1, -2))
-    out = {ZERO: np.asarray(x, dtype=complex)}
-    for g in grid_points(limit)[1:]:  # lexicographic: both predecessors come first
-        step = F_STEP if g.a == 0 else E_STEP
-        ops, ops_h = kraus[step]
-        out[g] = (ops @ out[g - step] @ ops_h).sum(axis=0)
-    return out
+        return (ops @ y @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+
+    foot = np.asarray(x, dtype=complex)
+    for b in range(limit.b + 1):
+        if b:
+            foot = apply(phi, foot)
+        out = foot
+        for a in range(limit.a + 1):
+            if a:
+                out = apply(theta, out)
+            yield GridPoint(a, b), out
 
 
 def _matrix_units(n: int) -> Array:
@@ -324,14 +341,14 @@ def verify_representation(
 
     theta, phi = sys.theta(), sys.phi()
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
-    powers = _kraus_grid(theta, phi, horizon, _matrix_units(n))
 
     ident = 0.0
     coiso = 0.0
-    for g, rep in reps.items():
+    for g, power in _kraus_grid(theta, phi, horizon, _matrix_units(n)):
+        rep = reps[g]
         # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
-        lhs = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
-        diff = lhs - powers[g]
+        diff = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
+        diff -= power
         ident = max(ident, max_block_fro(diff.reshape(-1, n), n * n, n))
         if unital:
             flat = rep.reshape(n, -1)
@@ -349,12 +366,8 @@ def verify_representation(
         rhs = words1 @ np.concatenate([reps[g2].reshape(n, -1) for g2 in splits], axis=1)
         lhs = []
         for g2 in splits:
-            # rep_{g1+g2} (U tensor I) with U = I tensor Sigma(b1, a2) tensor I:
-            # Sigma^T on the middle axis of the sorted word E^a1 (E^a2 F^b1) F^b2.
-            rep = reps[g1 + g2]
-            sigma = flips.get(g1.b, g2.a)
-            if sigma is not None:
-                rep = sigma.T @ rep.reshape(n * sys.m**g1.a, sigma.shape[0], -1)
+            # rep_{g1+g2} (U tensor I): U^T on the word axis of rep_{g1+g2}.
+            rep = flips.apply(g1, g2, reps[g1 + g2], "T")
             lhs.append(rep.reshape(n, fd1, -1).transpose(1, 0, 2))
         diff = np.concatenate(lhs, axis=2) - rhs
         sq = (diff.real**2 + diff.imag**2).sum(axis=(0, 1))

@@ -356,15 +356,31 @@ def test_deep_grid_representation_is_cheap():
     # M_2 mix/mix at (4,4): 625 splits, fibers of dimension up to 256.
     sys_ = make_system(*mix_pair(2, (2, 2), 5))
     horizon = GridPoint(4, 4)
-    verify_representation(sys_, horizon)
-    start = time.perf_counter()
     assert verify_representation(sys_, horizon).passed
-    elapsed = time.perf_counter() - start
+    # Best of three, so that one slow sample on a shared machine does not fail.
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verify_representation(sys_, horizon)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1
+    assert _traced_peak(lambda: verify_representation(sys_, horizon)) < 8 * 2**20
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        verify_representation(sys_, horizon)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 0.1
-    assert peak < 8 * 2**20
+
+
+def test_representation_memory_does_not_grow_with_the_grid():
+    # Conjugations on M_16: every fiber is one-dimensional, so the fiber cap
+    # never bounds the horizon, and each Theta^a Phi^b of the 256 matrix units
+    # is a 1 MiB stack. Holding one per grid point would take 25 MiB at (4,4).
+    sys_ = make_system(*mix_pair(16, (1, 1), 2))
+    small = _traced_peak(lambda: verify_representation(sys_, GridPoint(1, 1)))
+    large = _traced_peak(lambda: verify_representation(sys_, GridPoint(4, 4)))
+    assert large < small + 2**20
