@@ -39,6 +39,9 @@ from .linalg import (
 
 # Structural guard at construction; predicates use the caller's tolerance.
 _CONTRACTIVITY_GUARD = 1e-7
+# The completed equivalence unitary must be unitary to this before its polar
+# projection; a larger residual is a failed construction, not roundoff.
+_COMPLETION_GUARD = 1e-6
 
 
 class DimensionMismatchError(ValueError):
@@ -285,7 +288,7 @@ def _equivalence_unitary(ma: Array, mb: Array, tol: float) -> Array:
         u = u + pa @ dagger(pb)
         cross = cross + pa @ dagger(pb)
     unitarity = fro(dagger(u) @ u - np.eye(length))
-    if unitarity > 1e-6:
+    if unitarity > _COMPLETION_GUARD:
         raise EquivalenceCompletionError(unitarity)
     w, _, vh = np.linalg.svd(cross)
     return w @ vh

@@ -3,7 +3,8 @@
 Subcommands: classify, commute, strong-commute, stochastic, prodsys, dilate.
 Exit codes: 0 when the queried property holds or the build verifies, 1 when
 the property is false (the report carries a witness), 2 for malformed input
-or an internal verification failure.
+or an internal verification failure. A reader that closes the pipe early
+(`| head -1`) does not change the exit code.
 
 Channel files use {"dim": n, "kraus": [matrix, ...]} or {"dim": n, "choi":
 matrix} with complex entries encoded as [re, im]; stochastic files use
@@ -65,6 +66,19 @@ def _emit(report: dict, fmt: str) -> None:
     else:
         for key in sorted(report):
             print(f"{key}: {json.dumps(_round_floats(report[key]), sort_keys=True)}")
+    sys.stdout.flush()
+
+
+def _drop_stdout() -> None:
+    """Point the stdout descriptor at os.devnull, so that the flush at exit
+    does not raise a second BrokenPipeError."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _require_object(data: Any, where: str) -> dict:
@@ -394,12 +408,14 @@ def main(argv=None) -> int:
     try:
         code, report = args.func(args)
     except (InputError, ValueError) as exc:
-        _emit({"error": str(exc)}, args.format)
-        return 2
+        code, report = 2, {"error": str(exc)}
     except RuntimeError as exc:
-        _emit({"error": f"internal verification failure: {exc}"}, args.format)
-        return 2
-    _emit(report, args.format)
+        code, report = 2, {"error": f"internal verification failure: {exc}"}
+    try:
+        _emit(report, args.format)
+    except BrokenPipeError:
+        # The reader left early (`| head -1`): the exit code stays the verdict.
+        _drop_stdout()
     return code
 
 

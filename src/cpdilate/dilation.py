@@ -33,6 +33,7 @@ the horizon, which is what the minimality checks use.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,8 @@ class EDilationResult:
 
         Valid for every g <= horizon: the image of an embedded corner element
         never leaves the generator blocks, so no truncation is involved.
+        minimality_check uses the same formula without forming it; this
+        explicit form is the one its test oracles read.
         """
         if not g <= self.dsp.horizon:
             raise OutOfHorizonError(f"{g.key()} exceeds the horizon")
@@ -468,6 +471,9 @@ COMMUTANT_TOL = 1e-8
 # Unknowns of one commutant solve: the sum of squared block sizes. The normal
 # operator holds their square, 4096^2 complex entries (256 MiB) at the cap.
 MAX_COMMUTANT_UNKNOWNS = 4096
+# Entries of one slice of generators, or of its gather onto the unknowns, in
+# a commutant solve (16 MiB complex).
+_SLICE_ENTRIES = 2**20
 
 
 def _random_coefficients(count: int) -> Array:
@@ -483,19 +489,21 @@ def _eigen_clusters(a: Array) -> tuple[Array, Array]:
     return v, np.diff(np.concatenate(([0], cuts, [w.size])))
 
 
-def _block_commutant(mats: Array, frame: Array, sizes: Array) -> tuple[Array, Array, Array]:
-    """Commutant of the *-closed span of mats among matrices block-diagonal in frame.
+def _block_commutant(chunks: Iterable[Array], sizes: Array) -> tuple[Array, Array, Array]:
+    """Commutant of the *-closed span of the generators among block-diagonal matrices.
 
-    Minimizes sum_g ||[C, B_g]||^2 over block-diagonal C, with B_g the
-    generators in the frame. Returns (coef, p, q): column k of coef holds the
-    entries of the k-th commutant basis element at positions (p, q) of the frame.
+    chunks yields (count, d, d) stacks of the generators B_g, already in the
+    frame whose eigenvalue clusters have the given sizes; it is drawn only
+    after the cap check. Minimizes sum_g ||[C, B_g]||^2 over C block-diagonal
+    in that frame. Returns (coef, p, q): column k of coef holds the entries of
+    the k-th commutant basis element at positions (p, q) of the frame.
     """
     unknowns = int(sizes @ sizes)
     if unknowns > MAX_COMMUTANT_UNKNOWNS:
         raise CapExceededError(
             f"commutant solve needs {unknowns} unknowns, over the cap {MAX_COMMUTANT_UNKNOWNS}"
         )
-    d = frame.shape[0]
+    d = int(sizes.sum())
     labels = np.repeat(np.arange(sizes.size), sizes)
     p, q = np.nonzero(labels[:, None] == labels[None, :])  # row-major within each block
 
@@ -503,47 +511,54 @@ def _block_commutant(mats: Array, frame: Array, sizes: Array) -> tuple[Array, Ar
     # S1 = sum_g B B*, S2 = sum_g B* B. The sandwich terms, restricted to the
     # unknowns, are T + T^* with T[u, w] = sum_g B[p_u, p_w] conj(B[q_u, q_w]);
     # for blocks of size one this is the graph Laplacian of W = sum_g |B|^2.
-    # Generators are moved into the frame one at a time, so no second stack
-    # of them is held, and S1, S2 are formed only on the blocks.
+    # S1 and S2 are formed only on the blocks.
     t = np.zeros((unknowns, unknowns), dtype=complex)
     s1 = np.zeros((d, d), dtype=complex)
     s2 = np.zeros((d, d), dtype=complex)
-    frame_h = dagger(frame)
-    for m in mats:
-        bg = frame_h @ m @ frame
-        t += bg[np.ix_(p, p)] * bg[np.ix_(q, q)].conj()
-        s1[p, q] += np.sum(bg[p] * bg[q].conj(), axis=1)
-        s2[p, q] += np.sum(bg[:, p].conj() * bg[:, q], axis=0)
+
+    def gather(x: Array, idx: Array, axis: int) -> Array:
+        # With clusters of one, p = q = range(d) and there is nothing to gather.
+        return x if unknowns == d else x.take(idx, axis=axis)
+
+    # A gather holds count * unknowns^2 entries.
+    per = max(1, _SLICE_ENTRIES // (unknowns * unknowns))
+    for chunk in chunks:
+        for start in range(0, len(chunk), per):
+            bg = chunk[start:start + per]
+            rows_p, rows_q = gather(bg, p, 1), gather(bg, q, 1).conj()
+            t += np.einsum("gij,gij->ij", gather(rows_p, p, 2), gather(rows_q, q, 2))
+            s1[p, q] += np.einsum("gux,gux->u", rows_p, rows_q)
+            s2[p, q] += np.einsum("gxu,gxu->u", gather(bg, p, 2).conj(), gather(bg, q, 2))
     normal = -(t + dagger(t))
     del t
-    start = offset = 0
-    for k in sizes:
-        blk = slice(offset, offset + k)
-        eye = np.eye(k, dtype=complex)
-        sl = slice(start, start + k * k)
-        normal[sl, sl] += np.kron(eye, s1[blk, blk].T) + np.kron(s2[blk, blk], eye)
-        start += k * k
-        offset += k
+    # C S1 + S2 C on the unknowns: entry (u, w) takes S1[q_w, q_u] where
+    # p_u = p_w, and S2[p_u, p_w] where q_u = q_w.
+    u, w = np.nonzero(p[:, None] == p[None, :])
+    normal[u, w] += s1[q[w], q[u]]
+    u, w = np.nonzero(q[:, None] == q[None, :])
+    normal[u, w] += s2[p[u], p[w]]
 
     evals, evecs = np.linalg.eigh(hermitize(normal))
     scale = max(float(evals[-1]), 1.0)
     return evecs[:, evals < 0.01 * COMMUTANT_TOL * scale], p, q
 
 
-def algebra_dims(mats: Array) -> tuple[int, int]:
-    """(dim of the commutant, dim of the generated unital *-algebra) of mats.
+def _in_frame(mats: Array, frame: Array) -> Iterator[Array]:
+    """mats moved into frame, one chunk of at most _SLICE_ENTRIES entries at a time."""
+    frame_h = dagger(frame)
+    per = max(1, _SLICE_ENTRIES // frame.size)
+    for start in range(0, len(mats), per):
+        yield frame_h @ mats[start:start + per] @ frame
 
-    mats is a (count, d, d) stack whose span is closed under adjoints. By the
-    double commutant theorem the algebra is the commutant of the commutant:
-    all d^2 when the commutant is the scalars, the sum of squared ranks of its
-    minimal projections when the commutant is abelian, and otherwise the
-    commutant dimension of a basis of the commutant. Raises CapExceededError
-    before allocating when a solve would pass MAX_COMMUTANT_UNKNOWNS unknowns,
-    or a dense commutant basis more than MAX_COMMUTANT_UNKNOWNS^2 entries.
-    """
-    d = mats.shape[-1]
-    a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
-    coef, p, q = _block_commutant(mats, *_eigen_clusters(a + dagger(a)))
+
+def _algebra_dims(
+    a: Array, chunks: Callable[[Array], Iterable[Array]]
+) -> tuple[int, int]:
+    """algebra_dims of a generator set given by a random element a of its
+    span and chunks(frame), its generators moved into a frame."""
+    d = a.shape[0]
+    frame, sizes = _eigen_clusters(a + dagger(a))
+    coef, p, q = _block_commutant(chunks(frame), sizes)
     dim_comm = coef.shape[1]
     if dim_comm <= 1:
         return dim_comm, d * d
@@ -562,7 +577,22 @@ def algebra_dims(mats: Array) -> tuple[int, int]:
         )
     comm = np.zeros((dim_comm, d, d), dtype=complex)
     comm[:, p, q] = coef.T
-    return dim_comm, _block_commutant(comm, frame, sizes)[0].shape[1]
+    return dim_comm, _block_commutant(_in_frame(comm, frame), sizes)[0].shape[1]
+
+
+def algebra_dims(mats: Array) -> tuple[int, int]:
+    """(dim of the commutant, dim of the generated unital *-algebra) of mats.
+
+    mats is a (count, d, d) stack whose span is closed under adjoints. By the
+    double commutant theorem the algebra is the commutant of the commutant:
+    all d^2 when the commutant is the scalars, the sum of squared ranks of its
+    minimal projections when the commutant is abelian, and otherwise the
+    commutant dimension of a basis of the commutant. Raises CapExceededError
+    before allocating when a solve would pass MAX_COMMUTANT_UNKNOWNS unknowns,
+    or a dense commutant basis more than MAX_COMMUTANT_UNKNOWNS^2 entries.
+    """
+    a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
+    return _algebra_dims(a, lambda frame: _in_frame(mats, frame))
 
 
 @dataclass(frozen=True)
@@ -585,15 +615,25 @@ def minimality_check(
 ) -> MinimalityReport:
     """Span and commutant diagnostics for minimality.
 
+    The generators are alpha_g(e_rc) = A_r A_c^* for grid points
+    g <= grid_limit and matrix units e_rc, with A_r = f_g.reshape(d, fd, n)[:, :, r]
+    read off the factor block f_g of g; no generator is formed.
+
     (1) Iterate the span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H)
-        over grid points g_i <= grid_limit and matrix units m_i until it
-        stabilizes or SPAN_DEPTH_CAP rounds are done; minimality of K means
-        it reaches dim K. (2) The generators alpha_g(m) form a *-closed set,
-        so by the double commutant theorem they generate B(K) exactly when
-        their commutant is the scalars; algebra_dims computes the commutant
-        from a random element of their span. closure_dim is the dimension of
-        the generated unital *-algebra, read off the double commutant (dim
-        K^2 when the commutant is the scalars); closure_converged is always
+        until it stabilizes or SPAN_DEPTH_CAP rounds are done; minimality of
+        K means it reaches dim K. A round multiplies the new directions by
+        Y_g = [A_c^* new]_c, replaced by the fd_g x fd_g factor R^* of a QR
+        of Y_g^* when it is wider than tall (the same column space and Gram
+        matrix), and takes [A_r Y_g]_r as candidates, at most n fd_g columns
+        per grid point.
+    (2) The generators form a *-closed set, so by the double commutant
+        theorem they generate B(K) exactly when their commutant is the
+        scalars. The random element of their span is sum_g f_g (I tensor C_g)
+        f_g^*, with the coefficients of algebra_dims in (g, r, c) order, and
+        the commutant solve takes, per grid point, the n^2 generators
+        H_r H_c^* with H = frame^* A. closure_dim is the dimension of the
+        generated unital *-algebra, read off the double commutant (dim K^2
+        when the commutant is the scalars); closure_converged is always
         True, as no iteration is involved.
 
     grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
@@ -604,10 +644,12 @@ def minimality_check(
     limit = dsp.horizon if grid_limit is None else grid_limit
     if not limit <= dsp.horizon:
         raise OutOfHorizonError(f"{limit.key()} exceeds the horizon")
-    n = sys.dim_h
-    units = _matrix_units(n)
-    gen_stack = np.stack([res.alpha_corner(g, m) for g in grid_points(limit) for m in units])
-    d = dsp.dim_k
+    n, d = sys.dim_h, dsp.dim_k
+    # blocks[g][:, r, :] = A_r, one contiguous (d, n, fd_g) stack per grid point.
+    blocks = [
+        np.ascontiguousarray(dsp.factor_block(g).reshape(d, -1, n).transpose(0, 2, 1))
+        for g in grid_points(limit)
+    ]
 
     def _orth_columns(cols: Array) -> Array:
         if cols.shape[1] > cols.shape[0]:
@@ -626,12 +668,26 @@ def minimality_check(
             return cols[:, :0]
         return u[:, s > SPAN_SVD_CUTOFF * max(1.0, float(s[0]))]
 
+    def _candidates(new: Array) -> Array:
+        pile = []
+        for blk in blocks:
+            fd = blk.shape[2]
+            # x[j, (c, w)] = conj((A_c^* new)[w, j]), so y = [A_c^* new]_c.
+            x = dagger(new) @ blk.reshape(d, -1)
+            y = x.reshape(-1, n, fd).transpose(2, 1, 0).conj().reshape(fd, -1)
+            if y.shape[1] > fd:
+                # R^* of y^* = QR: the same column space and Gram matrix y y^*.
+                y = dagger(np.linalg.qr(dagger(y), mode="r"))
+            # Rows (i, r) of blk @ y are row i of A_r y.
+            pile.append((blk.reshape(d * n, fd) @ y).reshape(d, -1))
+        return np.hstack(pile)
+
     # Words in the generators applied to the embedded copy of H; only the
     # directions found in the previous round need another multiplication.
     span = _orth_columns(dsp.embed_h)
     new = span
     for _ in range(SPAN_DEPTH_CAP):
-        cands = (gen_stack @ new).transpose(1, 0, 2).reshape(d, -1)
+        cands = _candidates(new)
         for _ in range(2):
             cands = cands - span @ (dagger(span) @ cands)
         fresh = _orth_columns(cands)
@@ -641,7 +697,21 @@ def minimality_check(
         new = fresh
     span_rank = span.shape[1]
 
-    commutant_dim, closure_dim = algebra_dims(gen_stack)
+    # sum over (r, c) of C_g[r, c] A_r A_c^* is blk (C_g tensor I) blk^*, flattened.
+    coefs = _random_coefficients(len(blocks) * n * n).reshape(-1, n, n)
+    a = np.zeros((d, d), dtype=complex)
+    for blk, c in zip(blocks, coefs):
+        a += np.einsum("drw,rc->dcw", blk, c).reshape(d, -1) @ dagger(blk.reshape(d, -1))
+
+    def _chunks(frame: Array) -> Iterator[Array]:
+        frame_h = dagger(frame)
+        for blk in blocks:
+            h = (frame_h @ blk.reshape(d, -1)).reshape(d * n, -1)
+            # Entry ((i, r), (j, c)) is (H_r H_c^*)[i, j].
+            outer = (h @ dagger(h)).reshape(d, n, d, n)
+            yield outer.transpose(1, 3, 0, 2).reshape(n * n, d, d)
+
+    commutant_dim, closure_dim = _algebra_dims(a, _chunks)
     return MinimalityReport(
         grid_limit=limit,
         dim_k=d,

@@ -32,6 +32,10 @@ from .chan import (
 )
 from .linalg import Array, dagger, fro
 
+# A constructed certificate is refused when a residual passes
+# max(100 * tol, CERTIFICATE_FLOOR).
+CERTIFICATE_FLOOR = 1e-7
+
 
 class NonCommutingError(ValueError):
     pass
@@ -135,7 +139,7 @@ def strong_commutation_certificate(
     u = _equivalence_unitary(_kraus_matrix(left), _kraus_matrix(right), tol)
     unit = fro(dagger(u) @ u - np.eye(m * n))
     intw = _max_row_residual(left, right, u)
-    if max(unit, intw) > max(100 * tol, 1e-7):
+    if max(unit, intw) > max(100 * tol, CERTIFICATE_FLOOR):
         raise CertificateError(
             f"certificate construction failed (unitarity {unit:.3e}, intertwining {intw:.3e})"
         )

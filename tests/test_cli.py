@@ -127,6 +127,22 @@ class TestChannels:
         assert rep["minimality"]["span_dim"] == 2
         assert rep["minimality"]["commutant_dim"] == 1
 
+    def test_golden_dilate_report(self):
+        # Every residual of this pair is exactly 0.0, so the report is the same
+        # on every platform, byte for byte; CI diffs the installed entry point
+        # against the same file.
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main([
+                "dilate",
+                str(FIXTURES / "channel_corner_collapse.json"),
+                str(FIXTURES / "channel_identity_2.json"),
+                "--horizon", "3", "3",
+                "--margin", "1", "1",
+            ])
+        assert code == 0
+        assert buf.getvalue() == (FIXTURES / "golden_dilate_corner_3x3.json").read_text()
+
     def test_dilate_byte_stable_across_runs(self):
         args = (
             "dilate",
@@ -211,6 +227,26 @@ class TestErrors:
             "strong-commute", ch, str(FIXTURES / "stochastic_p_3x3.json")
         )
         assert code == 2
+
+    def test_closed_stdout_keeps_exit_code(self, monkeypatch):
+        # `cpdilate dilate ... | head -1`: the reader has gone before the
+        # report is written. No traceback, and the exit code is still the
+        # verdict (0 here), not 1, which would mean a failed verification.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main([
+            "dilate",
+            str(FIXTURES / "channel_corner_collapse.json"),
+            str(FIXTURES / "channel_identity_2.json"),
+            "--horizon", "3", "3",
+            "--margin", "1", "1",
+        ])
+        assert code == 0
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["classify", str(FIXTURES / "missing.json")]) == 2
 
     def test_minimality_cap_exits_two(self, monkeypatch):
         monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)

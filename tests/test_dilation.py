@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpdilate import dilation
@@ -537,14 +537,25 @@ class TestMinimality:
         assert rep.closure_dim == rep.dim_k**2
 
     def test_mix_pair_at_dim_k_128(self):
-        # The d^2 x d^2 commutator operator would need 12.8 GiB here.
+        # The d^2 x d^2 commutator operator would need 12.8 GiB here, and the
+        # stack of all 64 generators alpha_g(e_rc) 16 MiB.
         family = CommutingFamily(2, np.random.default_rng(5))
         theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
         sys_, _, _, dsp = pipeline(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
-        start = time.perf_counter()
-        rep = minimality_check(res)
-        assert time.perf_counter() - start < 2.0
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            minimality_check(res)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 2.0
+        tracemalloc.start()
+        try:
+            rep = minimality_check(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 128**2 * 16
         assert rep.dim_k == rep.span_dim == 128
         assert rep.commutant_dim == 1
         assert rep.closure_dim == 128**2
@@ -555,6 +566,20 @@ class TestMinimality:
         res = lift_operators(dsp, sys_)
         rep = minimality_check(res, grid_limit=GridPoint(1, 1))
         assert rep.span_dim < rep.dim_k
+
+
+def oracle_span_dim(gens, start, rounds, tol=1e-8):
+    """Dimension of the span of the words of length <= rounds in gens applied
+    to start: dense Krylov growth, rank by SVD of the whole pile each round."""
+    basis = start
+    for _ in range(rounds):
+        pile = np.hstack([basis] + [g @ basis for g in gens])
+        u, s, _ = np.linalg.svd(pile, full_matrices=False)
+        grown = u[:, s > tol * s[0]]
+        if grown.shape[1] == basis.shape[1]:
+            break
+        basis = grown
+    return basis.shape[1]
 
 
 def oracle_commutant(mats, tol=1e-8):
@@ -626,6 +651,16 @@ class TestCommutant:
         assert len(oracle_commutant(comm)) == want[1]
         assert algebra_dims(mats) == want
 
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_SETS))
+    def test_one_cluster_gives_the_same_counts(self, name, monkeypatch):
+        # Merging clusters only enlarges the search space. With every
+        # eigenvalue in one cluster the solve runs over all of M_d, where
+        # S1 and S2 are not scalar on the block.
+        mats, want = SYNTHETIC_SETS[name]
+        u = random_unitary(mats.shape[-1], np.random.default_rng(12))
+        monkeypatch.setattr(dilation, "CLUSTER_REL", 10.0)
+        assert algebra_dims(u @ mats @ dagger(u)) == want
+
     def test_cap_raises_before_allocating(self):
         d = math.isqrt(dilation.MAX_COMMUTANT_UNKNOWNS) + 1
         tracemalloc.start()
@@ -658,22 +693,58 @@ class TestCommutant:
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        lengths=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        lengths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         horizon=st.tuples(st.integers(1, 2), st.integers(1, 2)),
         limit=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        pauli=st.booleans(),
     )
     # An ill-conditioned certificate once left 1e-13 roundoff in the Gram matrix.
-    @example(seed=0, lengths=(1, 2), horizon=(1, 1), limit=(0, 0))
-    def test_random_pairs_match_oracle(self, seed, lengths, horizon, limit):
-        family = CommutingFamily(2, np.random.default_rng(seed))
-        theta, phi = (mix_of_unitaries(family, k) for k in lengths)
+    @example(seed=0, lengths=(1, 2), horizon=(1, 1), limit=(0, 0), pauli=False)
+    # Three commuting unitaries on M_2 are linearly dependent: K is not
+    # minimal, and the commutant is M_2, which takes the non-abelian solve.
+    @example(seed=0, lengths=(3, 3), horizon=(1, 1), limit=(1, 1), pauli=False)
+    # Words that anticommute: the flip has complex entries.
+    @example(seed=0, lengths=(2, 2), horizon=(2, 2), limit=(2, 1), pauli=True)
+    def test_random_pairs_match_oracle(self, seed, lengths, horizon, limit, pauli):
+        rng = np.random.default_rng(seed)
+        if pauli:
+            theta, phi = pauli_mix_pair(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng)
+            lengths = (2, 2)
+        else:
+            family = CommutingFamily(2, rng)
+            theta, phi = (mix_of_unitaries(family, k) for k in lengths)
+        # dim K <= 32 keeps the d^4 oracle small.
+        assume(lengths[0] ** horizon[0] * lengths[1] ** horizon[1] <= 16)
         horizon = GridPoint(*horizon)
         limit = GridPoint(min(limit[0], horizon.a), min(limit[1], horizon.b))
         sys_, big, hat, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
         assert_factor_matches_oracle(big, hat, dsp)
         res = lift_operators(dsp, sys_)
         rep = minimality_check(res, grid_limit=limit)
+        # The oracle's generators come from the explicit kron formula.
         gens = np.stack(
             [res.alpha_corner(g, m) for g in grid_points(limit) for m in _units_of(2)]
         )
+        assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dilation.SPAN_DEPTH_CAP)
         assert rep.commutant_dim == len(oracle_commutant(gens))
+
+    def test_redundant_pair_pinned(self):
+        # A unital mix of three commuting unitaries for each map: Choi rank 2,
+        # Kraus length 3, so K is (3/2)^(a+b) too large to be minimal.
+        family = CommutingFamily(2, np.random.default_rng(0))
+        theta, phi = mix_of_unitaries(family, 3), mix_of_unitaries(family, 3)
+        for horizon, want in (((1, 1), (8, 4, 100)), ((2, 1), (16, 22, 420))):
+            sys_, _, _, dsp = pipeline(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
+            rep = minimality_check(lift_operators(dsp, sys_))
+            assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == want
+        sys_, _, _, dsp = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="20754 unknowns"):
+                minimality_check(res, grid_limit=GridPoint(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The refused solve would hold 20754^2 complex entries (6.4 GiB).
+        assert peak < 8 * 2**20
