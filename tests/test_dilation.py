@@ -654,8 +654,8 @@ class TestCommutant:
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_SETS))
     def test_one_cluster_gives_the_same_counts(self, name, monkeypatch):
         # Merging clusters only enlarges the search space. With every
-        # eigenvalue in one cluster the solve runs over all of M_d, where
-        # S1 and S2 are not scalar on the block.
+        # eigenvalue in one cluster the solve runs over all of M_d; for the
+        # direct sums S1 and S2 are then not scalar on the block.
         mats, want = SYNTHETIC_SETS[name]
         u = random_unitary(mats.shape[-1], np.random.default_rng(12))
         monkeypatch.setattr(dilation, "CLUSTER_REL", 10.0)
