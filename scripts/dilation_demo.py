@@ -3,7 +3,7 @@
 
 For each pair: certify strong commutation, build the twisted product system,
 verify the covariant representation on a grid, realize the dilation space
-K = X(horizon) tensor H from the hat steps out of the top block, and check
+K = X(horizon) tensor H block by block down from the top, and check
 the endomorphic dilation identities plus minimality. Prints a compact summary
 per pair and exits 1 when any pair fails verification.
 """
@@ -67,8 +67,8 @@ def main():
         cert = strong_commutation_certificate(theta, phi)
         system = build_product_system(theta, phi, cert)
         rep = verify_representation(system, horizon)
-        big, hat = build_big_space(system, horizon)
-        dsp = build_dilation_space(big, hat, margin)
+        big, system = build_big_space(system, horizon)
+        dsp = build_dilation_space(big, system, margin)
         res = lift_operators(dsp, system)
         ver = verify_e_dilation(res, theta, phi, margin)
         mini = minimality_check(res)

