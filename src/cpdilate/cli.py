@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -108,7 +109,8 @@ def _channel_from(data: Any, path: str, tol: float) -> chan.KrausFamily:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _real_matrix_from(data: dict, path: str):
+def _stochastic_from(data: dict, path: str, tol: float):
+    """The real square 'matrix' of a stochastic file, validated as stochastic."""
     if "matrix" not in data:
         raise InputError(f"{path}: expected a 'matrix' field")
     try:
@@ -117,15 +119,17 @@ def _real_matrix_from(data: dict, path: str):
         raise InputError(f"{path}: 'matrix' must be a square array of numbers") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{path}: 'matrix' must be square")
+    try:
+        stochastic_rows = stochastic.validate(m, tol)
+    except ValueError as exc:  # non-finite or negative entries
+        raise InputError(f"{path}: {exc}") from exc
+    if not stochastic_rows:
+        raise InputError(f"{path}: rows do not sum to 1 within {tol}")
     return m
 
 
 def _load_channel(path: str, tol: float) -> chan.KrausFamily:
     return _channel_from(_load_json(path), path, tol)
-
-
-def _load_real_matrix(path: str):
-    return _real_matrix_from(_load_json(path), path)
 
 
 def _grid(values) -> GridPoint:
@@ -181,7 +185,9 @@ def cmd_strong_commute(args) -> tuple[int, dict]:
     if stochastic_flags[0] != stochastic_flags[1]:
         raise InputError("cannot mix a stochastic matrix with a channel")
     if stochastic_flags[0]:
-        return _diagonal_strong_commute(args, *(_real_matrix_from(*item) for item in loaded))
+        return _diagonal_strong_commute(
+            args, *(_stochastic_from(data, path, args.tol) for data, path in loaded)
+        )
     theta, phi = (_channel_from(data, path, args.tol) for data, path in loaded)
     try:
         cert = strong_commutation_certificate(theta, phi, args.tol)
@@ -207,10 +213,7 @@ def cmd_strong_commute(args) -> tuple[int, dict]:
 
 
 def cmd_stochastic(args) -> tuple[int, dict]:
-    mats = [_load_real_matrix(p) for p in args.matrices]
-    for path, m in zip(args.matrices, mats):
-        if not stochastic.validate(m, args.tol):
-            raise InputError(f"{path}: rows do not sum to 1 within {args.tol}")
+    mats = [_stochastic_from(_load_json(path), path, args.tol) for path in args.matrices]
     report: dict = {"command": "stochastic", "tol": args.tol, "zero_tol": args.zero_tol}
     code = 0
     if args.semigroup is not None:
@@ -342,9 +345,17 @@ def cmd_dilate(args) -> tuple[int, dict]:
 
 
 def positive(text: str) -> float:
-    """argparse type: a positive number (errors read "invalid positive value")."""
+    """argparse type: a finite number > 0 (errors read "invalid positive value")."""
     value = float(text)
-    if not value > 0:
+    if not 0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """argparse type: a finite number >= 0 (errors read "invalid nonnegative value")."""
+    value = float(text)
+    if not 0 <= value < math.inf:
         raise ValueError(text)
     return value
 
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     env_tol = os.environ.get("CPDILATE_TOL", DEFAULT_TOL)
     parser.add_argument("--tol", type=positive, default=env_tol, help="input/predicate tolerance")
     parser.add_argument(
-        "--zero-tol", type=float, default=DEFAULT_ZERO_TOL, help="nonzero-pattern threshold"
+        "--zero-tol", type=nonnegative, default=DEFAULT_ZERO_TOL, help="nonzero-pattern threshold"
     )
     parser.add_argument("--format", choices=["json", "text"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)

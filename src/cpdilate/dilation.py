@@ -12,13 +12,18 @@ At a finite horizon that limit is reached at the top block:
 
 The generator at grid point s, a basis vector of X(s) tensor H, sits in K as
 a column of T_s^*, where T_s is hat_{horizon - s} restricted to the top block
-(block horizon -> block s). `build_dilation_space` keeps one block T_s^* per
-grid point, each found from the block above it by one unit step, down from
-T_horizon = I; together their columns span K, and the Gram matrix of all of
-them is the generator Gram matrix of the join formula. V_g(e_w) =
-(L_w tensor I) T_{horizon - g} with L_w the left multiplication by the fiber
-word e_w, and alpha_g(b) sums V_g(e_w) b V_g(e_w)^* over words. No Gram
-matrix is formed and no unitary extension is ever constructed.
+(block horizon -> block s). With r = horizon - s it has the closed form
+
+    T_s^* = (U_{s,r} tensor I_H)(I_{X(s)} tensor rep_r^*),
+
+with U_{s,r} the product map and rep_r the representation matrix of X(r).
+`build_dilation_space` keeps one block T_s^* per grid point; together their
+columns span K, and the Gram matrix of all of them is the generator Gram
+matrix of the join formula. V_g(e_w) = (L_w tensor I) T_{horizon - g} with
+L_w the left multiplication by the fiber word e_w, and alpha_g(b) sums
+V_g(e_w) b V_g(e_w)^* over words. Both are one left multiplication by the
+words of a fiber, `_left_multiply`. No Gram matrix is formed and no unitary
+extension is ever constructed.
 
 Truncation bookkeeping: V_g and alpha_g are exposed only for g <= margin.
 V_g acts exactly on the span of generators at grid points <= horizon - g,
@@ -50,16 +55,14 @@ from .linalg import (
     max_block_fro,
 )
 from .prodsys import (
-    E_STEP,
-    F_STEP,
     ZERO,
     GridPoint,
     TwistedProductSystem,
     _BlockFlips,
     _kraus_grid,
     _matrix_units,
+    _word_operators,
     grid_points,
-    representation_matrix,
 )
 
 # Floor below zero allowed for gram_min_eig and p_increase_min_eig.
@@ -144,28 +147,15 @@ class DilationSpace:
         return kept @ dagger(kept)
 
 
-def _step_kernel(
-    sys: TwistedProductSystem, flips: _BlockFlips, rep: Array, base: GridPoint, step: GridPoint
-) -> Array:
-    """The unit step from block base + step down to block base, as the kernel
-    that the step repeats along the leading letters of X(base): the step is
-    I tensor kernel, with kernel (I_{X(0, b)} tensor rep)(u'^* tensor I_n).
-
-    rep is the representation matrix of the step. The product map
-    u : X(base) tensor X(step) -> X(base + step) is the identity for the F
-    step. For the E step it leaves the leading E letters of
-    X(base) = X(a, 0) tensor X(0, b) in place, so it is I_{m^a} tensor u' with
-    u' the product map of X(0, b) tensor X(E).
-    """
-    if step == F_STEP:
-        return rep
-    n = sys.dim_h
-    tail = GridPoint(0, base.b)
-    fd_in = sys.fiber_dim(tail)
-    # Entry ((x, i), (w, j)) of the kernel is the sum over words v of
-    # (I tensor rep)[(x, i), (v, j)] conj(u'[w, v]).
-    lifted = np.kron(np.eye(fd_in, dtype=complex), rep).reshape(fd_in * n, -1, n)
-    return flips.apply(tail, step, lifted, "C").reshape(fd_in * n, -1)
+def _left_multiply(flips: _BlockFlips, g: GridPoint, rest: GridPoint, m: Array) -> Array:
+    """(U_{g,rest} tensor I_n)(I_{X(g)} tensor m) for a matrix m with rows
+    (X(rest), H): column block w is the left multiplication by the fiber word
+    e_w of X(g), X(rest) tensor H -> X(g + rest) tensor H, applied to m."""
+    fd = flips.sys.fiber_dim(g)
+    x = np.zeros((fd, m.shape[0], fd, m.shape[1]), dtype=complex)
+    x[np.arange(fd), :, np.arange(fd)] = m
+    out = flips.apply(g, rest, x.reshape(1, flips.sys.fiber_dim(g + rest), -1))
+    return out.reshape(fd * m.shape[0], -1)
 
 
 def build_dilation_space(
@@ -174,14 +164,12 @@ def build_dilation_space(
     """Realize K = X(horizon) tensor H and the K-coordinates of every generator.
 
     The block of grid point s is T_s^* with T_s = hat_{horizon - s} on the top
-    block, found from T_horizon = I by one unit step per grid point:
+    block, in closed form: with r = horizon - s,
 
-        T_s^* = T_{s + step}^* step(s + step)^*.
+        T_s^* = (U_{s,r} tensor I_H)(I_{X(s)} tensor rep_r^*).
 
-    Each point steps up in the (0,1) direction while it can, so the path
-    down from the top applies all (1,0) steps first. Requires both maps unital
-    (the coisometric case); otherwise K is not the top block and the blocks
-    would be wrong, not merely approximate.
+    Requires both maps unital (the coisometric case); otherwise K is not the
+    top block and the blocks would be wrong, not merely approximate.
     """
     if not (margin <= big.horizon):
         raise OutOfHorizonError(f"margin {margin.key()} exceeds horizon {big.horizon.key()}")
@@ -190,28 +178,21 @@ def build_dilation_space(
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
     flips = _BlockFlips(sys)
-    reps = {step: representation_matrix(sys, step) for step in (E_STEP, F_STEP)}
-    top = big.horizon
+    words = _word_operators(sys, big.horizon)
+    n, top = sys.dim_h, big.horizon
+    blocks = {}
+    for s in big.points:
+        # rep_r^* has rows (X(r), H): block w is W_w^*.
+        rep_h = words[top - s].conj().transpose(0, 2, 1).reshape(-1, n)
+        blocks[s] = _left_multiply(flips, s, top - s, rep_h)
     dim_k = big.dims[top]
-    found = {top: np.eye(dim_k, dtype=complex)}
-    for s in reversed(big.points):  # s + step always comes first
-        if s == top:
-            continue
-        step = F_STEP if s.b < top.b else E_STEP
-        # The step is I_count tensor kernel: apply kernel^* to each of the
-        # count column groups of the block above.
-        kernel = _step_kernel(sys, flips, reps[step], s, step)
-        below = found[s + step].reshape(-1, kernel.shape[1]) @ dagger(kernel)
-        found[s] = below.reshape(dim_k, -1)
-
-    blocks = {g: found[g] for g in big.points}
     kept_min = float(np.linalg.eigvalsh(_cover(blocks, top))[0])
     return DilationSpace(
         big=big,
         margin=margin,
         blocks=blocks,
         dim_k=dim_k,
-        embed_h=found[ZERO],
+        embed_h=blocks[ZERO],
         # The Gram matrix has the spectrum of sum_g T_g^* T_g plus
         # total_dim - dim_k zeros.
         gram_min_eig=0.0 if big.total_dim > dim_k else kept_min,
@@ -282,25 +263,12 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
     (g + u, (e_w . zeta) tensor h) for u <= horizon - g, and vanishes off the
     range of T_{horizon - g}^*, the span of those generators.
     """
-    n, k, top = sys.dim_h, dsp.dim_k, dsp.horizon
+    k, top = dsp.dim_k, dsp.horizon
     flips = _BlockFlips(sys)
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
-        rest = top - g
-        # The leading E letters of a word (A, B) of X(g) stay in front, so
-        # e_(A, B) . zeta = e_A tensor (e_B . zeta), with e_B . zeta the
-        # product map of X(0, b) tensor X(rest) applied to e_B tensor zeta.
-        tail = GridPoint(0, g.b)
-        ma, kb = sys.m**g.a, sys.fiber_dim(tail)
-        t_rest = dagger(dsp.blocks[rest])  # rows (zeta, i)
-        # [B, B', (zeta, i), column] = delta_BB' T_rest^*
-        words = np.zeros((kb, kb) + t_rest.shape, dtype=complex)
-        words[np.arange(kb), np.arange(kb)] = t_rest
-        moved = flips.apply(tail, rest, words.reshape(kb, sys.fiber_dim(tail + rest), -1))
-        v = np.zeros((ma, kb, ma, moved[0].size), dtype=complex)
-        diag = np.arange(ma)
-        v[diag, :, diag] = moved.reshape(kb, -1)
-        v_blocks[g] = v.reshape(ma * kb, -1, k)
+        wide = _left_multiply(flips, g, top - g, dagger(dsp.blocks[top - g]))
+        v_blocks[g] = np.ascontiguousarray(wide.reshape(k, -1, k).transpose(1, 0, 2))
     p = dsp.embed_h @ dagger(dsp.embed_h)
     return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks, p=p)
 
@@ -453,7 +421,9 @@ CLUSTER_REL = 1e-8
 # times its largest (or 1).
 COMMUTANT_TOL = 1e-8
 # Unknowns of one commutant solve: the sum of squared block sizes. The normal
-# operator holds their square, 4096^2 complex entries (256 MiB) at the cap.
+# operator holds their square; the solve's traced peak is 4.07 N^2 16 B for N
+# unknowns (65 MiB at N = 1024) before LAPACK's workspace, ~1 GiB by that ratio
+# at the cap (not measured there).
 MAX_COMMUTANT_UNKNOWNS = 4096
 # Entries of one slice of generators, or of its gather onto the unknowns, in
 # a commutant solve (16 MiB complex).

@@ -27,7 +27,8 @@ homomorphism identity once per g1, batched over every g2.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
-what makes it multiplicative across fibers.
+what makes it multiplicative across fibers. `_word_operators` builds the word
+operators of every fiber up to a horizon as one table per call.
 """
 
 from __future__ import annotations
@@ -235,23 +236,30 @@ def product_unitary(sys: TwistedProductSystem, g1: GridPoint, g2: GridPoint) -> 
     return _BlockFlips(sys).apply(g1, g2, eye[None])[0]
 
 
+def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
+    """g -> the (fiber_dim(g), n, n) stack of the word operators
+    T_{i_1}..T_{i_a}S_{j_1}..S_{j_b} of X(g), for every g <= horizon in grid order.
+
+    Each stack is one batched product from a neighbour: (a, b) appends an S
+    letter to (a, b - 1) and (a, 0) a T letter to (a - 1, 0), so word w
+    followed by letter t lands at w * (number of letters) + t.
+    """
+    n = sys.dim_h
+    words = {ZERO: np.eye(n, dtype=complex)[None]}
+    for g in grid_points(horizon)[1:]:
+        prev, ops = (words[g - F_STEP], sys.kraus_s) if g.b else (words[g - E_STEP], sys.kraus_t)
+        words[g] = (prev[:, None] @ np.stack(ops)).reshape(-1, n, n)
+    return words
+
+
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
     """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b}."""
-    n = sys.dim_h
-    words = np.eye(n, dtype=complex)[None]
-    for ops, times in ((sys.kraus_t, g.a), (sys.kraus_s, g.b)):
-        stack = np.stack(ops)
-        for _ in range(times):
-            # Word w followed by letter t lands at w * len(ops) + t.
-            words = (words[:, None] @ stack).reshape(-1, n, n)
-    return words.transpose(1, 0, 2).reshape(n, -1)
+    return _word_operators(sys, g)[g].transpose(1, 0, 2).reshape(sys.dim_h, -1)
 
 
 def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array:
-    """T(x) = sum over words of x_word * (word matrix)."""
-    rep = representation_matrix(sys, x.grid)
-    n = sys.dim_h
-    return rep @ np.kron(x.coords.reshape(-1, 1), np.eye(n, dtype=complex))
+    """T(x) = sum over words w of x_w W_w."""
+    return np.tensordot(x.coords, _word_operators(sys, x.grid)[x.grid], axes=1)
 
 
 def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array):
@@ -304,8 +312,9 @@ def verify_representation(
             raise CapExceededError(
                 f"fiber space at {g.key()} has dimension {sys.fiber_dim(g) * n} > cap {cap}"
             )
+    words = _word_operators(sys, horizon)
     # Entry [i, w, j] of reps[g] is entry (i, j) of the operator of fiber word w.
-    reps = {g: representation_matrix(sys, g).reshape(n, -1, n) for g in grid_points(horizon)}
+    reps = {g: np.ascontiguousarray(w.transpose(1, 0, 2)) for g, w in words.items()}
 
     theta, phi = sys.theta(), sys.phi()
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
@@ -326,12 +335,11 @@ def verify_representation(
     hom = 0.0
     for g1 in grid_points(horizon):
         fd1 = sys.fiber_dim(g1)
-        words1 = reps[g1].transpose(1, 0, 2)  # (fd1, n, n), one operator per word
         splits = grid_points(horizon - g1)
         # Both sides for every g2 at once, as (fd1, n, sum_g2 fd2 n) stacks:
         # block a of the n x (fd1 fd2 n) matrices of each split, side by side.
         # rep_{g1} (I tensor rep_{g2}): column (a, b, j) is W_a rep_{g2}[:, (b, j)].
-        rhs = words1 @ np.concatenate([reps[g2].reshape(n, -1) for g2 in splits], axis=1)
+        rhs = words[g1] @ np.concatenate([reps[g2].reshape(n, -1) for g2 in splits], axis=1)
         lhs = []
         for g2 in splits:
             # rep_{g1+g2} (U tensor I): U^T on the word axis of rep_{g1+g2}.

@@ -7,7 +7,7 @@ counts
     |{j : q_kj p_ji != 0}|  and  |{j : p_kj q_ji != 0}|
 
 agree. When they do, an explicit block intertwiner can be written down; when
-they do not, the failing (i, k) pairs are witnesses. Semigroups e^{-t} e^{tP}
+they do not, the failing (i, k) pairs are witnesses. Semigroups e^{t(P - I)}
 of irreducible generators are strictly positive for t > 0, so they commute
 strongly whenever the generators commute.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DEFAULT_ZERO_TOL, Array, fro, rotation_taking
+from .linalg import DEFAULT_TOL, DEFAULT_ZERO_TOL, Array, fro, require_finite, rotation_taking
 
 
 class NoIntertwinerError(ValueError):
@@ -71,8 +71,10 @@ def _as_square(p) -> Array:
 
 
 def validate(p, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every row sums to 1 within tol. Negative entries are an error."""
+    """True iff every row sums to 1 within tol. Non-finite or negative entries
+    are an error."""
     p = _as_square(p)
+    require_finite(p, "stochastic matrix")
     neg = np.argwhere(p < -tol)
     if neg.size:
         spots = [(int(i), int(j), float(p[i, j])) for i, j in neg[:8]]
@@ -148,12 +150,18 @@ def _expm(a: Array) -> Array:
     return acc
 
 
+# Largest t ||P - I||_1 that semigroup_at takes. Each squaring doubles the
+# roundoff in the row sums, which past this would drift from 1 by over 1e-9.
+SEMIGROUP_REACH = 1e6
+
+
 def semigroup_at(p, t: float) -> Array:
-    """e^{-t} e^{tP}; stochastic for stochastic P and t >= 0."""
-    p = _as_square(p)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(np.exp(-t)) * _expm(t * p)
+    """e^{t(P - I)}, stochastic for stochastic P and t >= 0; formed directly,
+    so that no factor e^{-t} or e^{tP} under- or overflows."""
+    q = _as_square(p) - np.eye(len(p))
+    if not (t >= 0 and t * float(np.linalg.norm(q, 1)) <= SEMIGROUP_REACH):
+        raise ValueError(f"t = {t} is not in [0, {SEMIGROUP_REACH:g} / ||P - I||_1]")
+    return _expm(t * q)
 
 
 def is_irreducible(p, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:

@@ -18,12 +18,19 @@ from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli(*argv):
+    """Exit code and report; a JSON report must parse strictly (no NaN or Infinity)."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
     out = buf.getvalue()
-    return code, (json.loads(out) if out.strip().startswith("{") else out)
+    if out.strip().startswith("{"):
+        return code, json.loads(out, parse_constant=_not_json)
+    return code, out
 
 
 def write_channel(tmp_path, name, fam):
@@ -323,12 +330,31 @@ class TestErrors:
         assert "'theta'" in rep["error"]
 
     def test_unparsable_env_tolerance_exits_two(self, monkeypatch):
-        monkeypatch.setenv("CPDILATE_TOL", "abc")
+        # The variable goes through the --tol check: a finite value > 0.
+        for value in ("abc", "inf", "nan", "0"):
+            monkeypatch.setenv("CPDILATE_TOL", value)
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", str(FIXTURES / "channel_identity_2.json")])
+            assert exc.value.code == 2, value
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--tol", "inf"], ["--tol", "nan"], ["--zero-tol", "-1"], ["--zero-tol", "nan"]],
+        ids=["tol-inf", "tol-nan", "zero-tol-negative", "zero-tol-nan"],
+    )
+    def test_non_finite_or_negative_tolerance_exits_two(self, option):
+        # Each of these used to flip a verdict: --tol inf made a non-commuting
+        # pair commute, and --zero-tol -1 made the stochastic pair pass.
         with pytest.raises(SystemExit) as exc:
-            main(["classify", str(FIXTURES / "channel_identity_2.json")])
+            main([
+                *option,
+                "strong-commute",
+                str(FIXTURES / "stochastic_p_3x3.json"),
+                str(FIXTURES / "stochastic_q_3x3.json"),
+            ])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("value", ["0", "-1e-8"])
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan"])
     def test_nonpositive_verify_tol_exits_two(self, value):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -342,12 +368,19 @@ class TestErrors:
         assert exc.value.code == 2
 
     def test_stochastic_bad_rows_exit_two(self, tmp_path):
-        bad = tmp_path / "notstochastic.json"
-        bad.write_text(json.dumps({"matrix": [[0.5, 0.6], [0.2, 0.8]]}))
-        code, rep = run_cli(
-            "stochastic", str(bad), str(FIXTURES / "stochastic_p_3x3.json")
-        )
-        assert code == 2
+        # Both commands that read stochastic files validate them alike.
+        bad_matrices = {
+            "rows": [[0.5, 0.6], [0.2, 0.8]],
+            "negative": [[1.5, -0.5], [0.0, 1.0]],
+            "nan": [[math.nan, 1.0], [0.0, 1.0]],
+        }
+        for name, matrix in bad_matrices.items():
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps({"matrix": matrix}))
+            for command in ("stochastic", "strong-commute"):
+                code, rep = run_cli(command, str(bad), str(FIXTURES / "stochastic_p_3x3.json"))
+                assert code == 2, (command, name)
+                assert str(bad) in rep["error"], (command, name)
 
 
 class TestStochasticFlags:
@@ -362,16 +395,25 @@ class TestStochasticFlags:
         assert rep["card_holds"] is False
 
     def test_semigroup_and_irreducible(self):
+        # At t = 800 the factors e^{-t} and e^{tP} under- and overflow.
+        for t in ("0.5", "800"):
+            code, rep = run_cli(
+                "stochastic",
+                str(FIXTURES / "stochastic_p_3x3.json"),
+                "--semigroup", t,
+                "--irreducible",
+            )
+            assert code == 0
+            assert rep["irreducible"] == [True]
+            rows = np.asarray(rep["semigroup"])
+            assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10), t
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1", "1e308"])
+    def test_semigroup_out_of_reach_exits_two(self, t):
         code, rep = run_cli(
-            "stochastic",
-            str(FIXTURES / "stochastic_p_3x3.json"),
-            "--semigroup", "0.5",
-            "--irreducible",
+            "stochastic", str(FIXTURES / "stochastic_q_3x3.json"), "--semigroup", t
         )
-        assert code == 0
-        assert rep["irreducible"] == [True]
-        rows = np.asarray(rep["semigroup"])
-        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10)
+        assert code == 2 and "error" in rep
 
     def test_parser_defaults_are_library_constants(self, monkeypatch):
         monkeypatch.delenv("CPDILATE_TOL", raising=False)
@@ -422,22 +464,53 @@ _FIXTURE_CHANNELS = [
     for name in ("identity_2", "conj_z", "conj_x", "corner_collapse")
 ]
 _CHANNEL = st.integers(1, 3).flatmap(_near_channel) | st.sampled_from(_FIXTURE_CHANNELS)
+
+
+def _near_stochastic(d: int):
+    # Rows normalized to sum 1, or arbitrary entries that mostly do not.
+    weights = st.lists(st.floats(0, 1), min_size=d, max_size=d)
+    row = weights.map(lambda r: [x / sum(r) for x in r] if sum(r) > 0 else r)
+    entry = st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]) | _LEAVES
+    rows = st.lists(row | st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    return st.fixed_dictionaries({"matrix": rows})
+
+
+_FIXTURE_STOCHASTIC = [
+    json.loads((FIXTURES / f"stochastic_{name}_3x3.json").read_text()) for name in ("p", "q")
+]
+_STOCHASTIC = st.integers(1, 3).flatmap(_near_stochastic) | st.sampled_from(_FIXTURE_STOCHASTIC)
 _COMBINED = st.fixed_dictionaries(
     {"theta": _CHANNEL, "phi": _CHANNEL}, optional={"certificate": _JSON}
 )
 # Channels three times as often as arbitrary values: a command needs every file valid.
-_DOCUMENT = st.one_of(_CHANNEL, _CHANNEL, _CHANNEL, _JSON, _COMBINED)
+_DOCUMENT = st.one_of(_CHANNEL, _CHANNEL, _CHANNEL, _JSON, _COMBINED, _STOCHASTIC)
 _COMMANDS = {
     "classify": (1, ["classify"]),
     "commute": (2, ["commute"]),
     "strong-commute": (2, ["strong-commute"]),
+    "stochastic": (2, ["stochastic"]),
     "prodsys": (2, ["prodsys", "verify"]),
     "dilate": (2, ["dilate"]),
 }
 _TAILS = {
-    "prodsys": ["--horizon", "1", "1"],
-    "dilate": ["--horizon", "1", "1", "--margin", "1", "1"],
+    "prodsys": st.just(["--horizon", "1", "1"]),
+    "dilate": st.just(["--horizon", "1", "1", "--margin", "1", "1"]),
+    "stochastic": st.sampled_from(
+        [[], ["--check-card"], ["--irreducible"], ["--semigroup", "0.5"], ["--semigroup", "800"]]
+    ),
 }
+# Global tolerance options, valid or not; an invalid one must exit 2 from the
+# parser. Half of the draws keep the defaults.
+_TOLERANCE = st.tuples(
+    st.sampled_from(["--tol", "--zero-tol"]),
+    st.sampled_from(["1e-6", "1e-3", "0", "-1", "inf", "nan"]),
+)
+_TOLERANCES = st.just([]) | st.lists(_TOLERANCE, min_size=1, max_size=2)
+
+
+def _valid_tolerance(option: str, value: str) -> bool:
+    x = float(value)
+    return 0 <= x < math.inf and (x > 0 or option == "--zero-tol")
 
 
 def _failed_verification(report) -> bool:
@@ -445,33 +518,47 @@ def _failed_verification(report) -> bool:
     and either a false verdict or the non-commuting pair it stopped at."""
     if not isinstance(report, dict) or "command" not in report:
         return False
-    verdicts = [report.get(key) for key in ("passed", "commute", "strongly_commute")]
-    return False in verdicts or "error" in report
+    verdicts = [report.get(key) for key in ("passed", "commute", "strongly_commute", "card_holds")]
+    return False in verdicts + report.get("irreducible", []) or "error" in report
 
 
 @settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
     command=st.sampled_from(sorted(_COMMANDS)),
     documents=st.lists(_DOCUMENT, min_size=2, max_size=2)
-    | st.lists(st.sampled_from(_FIXTURE_CHANNELS), min_size=2, max_size=2),
+    | st.lists(st.sampled_from(_FIXTURE_CHANNELS), min_size=2, max_size=2)
+    | st.lists(_STOCHASTIC, min_size=2, max_size=2)
+    | st.lists(st.sampled_from(_FIXTURE_STOCHASTIC), min_size=2, max_size=2),
     combined=st.booleans(),
+    tolerances=_TOLERANCES,
+    data=st.data(),
 )
-def test_fuzzed_inputs_exit_by_contract(command, documents, combined):
-    """Any JSON document: no exception escapes `main`, the exit code is 0, 1
-    or 2, and exit 1 comes only with the report of a failed verification."""
+def test_fuzzed_inputs_exit_by_contract(command, documents, combined, tolerances, data):
+    """Any JSON document and tolerance: no exception escapes `main`, the exit
+    code is 0, 1 or 2, a report is strict JSON, an invalid tolerance exits 2
+    from the parser, and exit 1 comes only with the report of a failed
+    verification."""
     count, head = _COMMANDS[command]
     if command == "dilate" and combined:
         count = 1  # one combined {"theta", "phi", "certificate"?} file
+    tail = data.draw(_TAILS.get(command, st.just([])))
+    options = [word for pair in tolerances for word in pair]
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(documents[:count]):
             path = Path(tmp) / f"input{i}.json"
             path.write_text(json.dumps(doc))
             paths.append(str(path))
-        code, report = run_cli(*head, *paths, *_TAILS.get(command, []))
+        try:
+            code, report = run_cli(*options, *head, *paths, *tail)
+        except SystemExit as exc:  # the parser refused an option
+            code, report = exc.code, None
     event(f"{command} exits {code}")
+    if not all(_valid_tolerance(*pair) for pair in tolerances):
+        assert code == 2 and report is None
+        return
     assert code in (0, 1, 2)
     assert isinstance(report, dict)
     if code == 1:

@@ -282,7 +282,7 @@ class TestBigSpace:
 
     def test_steps_match_direct_definition_with_complex_flip(self):
         # With a complex flip, a product map that conjugates or transposes it
-        # is seen. The library's unit steps meet this flip in
+        # is seen. The library's closed-form blocks meet this flip in
         # test_factor_matches_oracle_gram[rotated].
         sys_, big, _ = pipeline(*named_pair("rotated"), GridPoint(2, 2), GridPoint(1, 1))
         assert np.abs(sys_.flip.imag).max() > 0.1

@@ -126,8 +126,9 @@ def oracle_verify_representation(sys, horizon, tol=DEFAULT_TOL) -> dict:
     """The three representation residuals with dense Kronecker products, one
     split at a time, with the product map of the flip-by-flip sweep.
 
-    Reads `prodsys.representation_matrix` through the module, so a test that
-    replaces it reaches both paths.
+    Reads `prodsys.representation_matrix`, a reader of the word-operator
+    table `prodsys._word_operators`, so a test that replaces the table
+    reaches both paths.
     """
     n = sys.dim_h
     reps = {g: prodsys.representation_matrix(sys, g) for g in grid_points(horizon)}
@@ -257,24 +258,27 @@ def test_broken_representation_moves_every_residual(defect, monkeypatch):
     sys_ = make_system(*mix_pair(2, (2, 3), 8))
     horizon = GridPoint(2, 2)
     assert verify_representation(sys_, horizon).passed
-    honest = prodsys.representation_matrix
+    honest = prodsys._word_operators
     rng = np.random.default_rng(9)
     seen: dict = {}
 
-    def broken(system, g):
-        # Memoized, so that both paths see the same defective matrices.
-        if g not in seen:
-            rep = honest(system, g)
+    def broken(system, limit):
+        # Memoized per grid point, so that both paths see the same defective
+        # word operators, however many tables they build.
+        table = honest(system, limit)
+        for g, words in table.items():
+            if g in seen:
+                continue
             if g == ZERO:
-                seen[g] = rep
+                seen[g] = words
             elif defect == "scaled":
-                seen[g] = 0.9 * rep
+                seen[g] = 0.9 * words
             else:
-                noise = rng.normal(size=rep.shape) + 1j * rng.normal(size=rep.shape)
-                seen[g] = rep + 1e-3 * noise
-        return seen[g]
+                noise = rng.normal(size=words.shape) + 1j * rng.normal(size=words.shape)
+                seen[g] = words + 1e-3 * noise
+        return {g: seen[g] for g in table}
 
-    monkeypatch.setattr(prodsys, "representation_matrix", broken)
+    monkeypatch.setattr(prodsys, "_word_operators", broken)
     got = representation_residuals(verify_representation(sys_, horizon))
     want = oracle_verify_representation(sys_, horizon)
     for values in (got, want):
