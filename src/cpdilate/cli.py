@@ -105,7 +105,7 @@ def _channel_from(data: Any, path: str, tol: float) -> chan.KrausFamily:
         raise InputError(f"{path}: stochastic matrix given where a channel was expected")
     try:
         return chan.channel_from_json(data, tol)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:  # also an integer past float range
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -114,8 +114,11 @@ def _stochastic_from(data: dict, path: str, tol: float):
     if "matrix" not in data:
         raise InputError(f"{path}: expected a 'matrix' field")
     try:
-        m = np.asarray(data["matrix"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        # The channel decoder's exact types: JSON true/false and strings are not numbers.
+        if not all(type(x) in chan._JSON_NUMBERS for row in data["matrix"] for x in row):
+            raise ValueError("not a number")
+        m = np.array(data["matrix"], dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:  # also an integer past float range
         raise InputError(f"{path}: 'matrix' must be a square array of numbers") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{path}: 'matrix' must be square")
@@ -419,7 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.func(args)
-    except (InputError, ValueError, CapExceededError) as exc:
+    except (InputError, OverflowError, ValueError, CapExceededError) as exc:
         code, report = 2, {"error": str(exc)}
     except RuntimeError as exc:
         code, report = 2, {"error": f"internal verification failure: {exc}"}

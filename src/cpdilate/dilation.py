@@ -414,16 +414,18 @@ def verify_e_dilation(
 # (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
 # Eigenvalues closer than CLUSTER_REL * ||A|| share a block: an eigenspace
 # split by roundoff stays whole, and merging two distinct eigenvalues only
-# enlarges the search space, so the count never depends on the draw.
+# enlarges the search space of the solve.
 COMMUTANT_SEED = 0
 CLUSTER_REL = 1e-8
 # Commutant basis: eigenvalues of the normal operator below 0.01 * COMMUTANT_TOL
 # times its largest (or 1).
 COMMUTANT_TOL = 1e-8
-# Unknowns of one commutant solve: the sum of squared block sizes. The normal
-# operator holds their square; the solve's traced peak is 4.07 N^2 16 B for N
-# unknowns (65 MiB at N = 1024) before LAPACK's workspace, ~1 GiB by that ratio
-# at the cap (not measured there).
+# Two eigenvalue clusters of a random commutant element share a summand when a
+# second element's block between them is above LINK_REL times its largest.
+LINK_REL = 1e-6
+# Unknowns of the commutant solve, the sum of squared block sizes. Its traced
+# peak is 4.07 N^2 16 B for N unknowns (65 MiB at N = 1024) before LAPACK's
+# workspace, ~1 GiB by that ratio at the cap (not measured there).
 MAX_COMMUTANT_UNKNOWNS = 4096
 # Entries of one slice of generators, or of its gather onto the unknowns, in
 # a commutant solve (16 MiB complex).
@@ -497,19 +499,17 @@ def _block_commutant(chunks: Iterable[Array], sizes: Array) -> tuple[Array, Arra
     return evecs[:, evals < 0.01 * COMMUTANT_TOL * scale], p, q
 
 
-def _in_frame(mats: Array, frame: Array) -> Iterator[Array]:
-    """mats moved into frame, one chunk of at most _SLICE_ENTRIES entries at a time."""
-    frame_h = dagger(frame)
-    per = max(1, _SLICE_ENTRIES // frame.size)
-    for start in range(0, len(mats), per):
-        yield frame_h @ mats[start:start + per] @ frame
-
-
-def _algebra_dims(
-    a: Array, chunks: Callable[[Array], Iterable[Array]]
-) -> tuple[int, int]:
+def _algebra_dims(a: Array, chunks: Callable[[Array], Iterable[Array]]) -> tuple[int, int]:
     """algebra_dims of a generator set given by a random element a of its
-    span and chunks(frame), its generators moved into a frame."""
+    span and chunks(frame), its generators moved into a frame.
+
+    The algebra is a sum of M_{d_i} tensor I_{m_i}, its commutant of
+    I_{d_i} tensor M_{m_i} (Maehara and Murota, Japan J. Indust. Appl. Math.
+    27 (2010)). A random Hermitian commutant element has m_i eigenvalue
+    clusters of size d_i in summand i; a second one, in that eigenframe,
+    links two clusters exactly when they share a summand. A span element
+    would not do: it can be degenerate inside one summand.
+    """
     d = a.shape[0]
     frame, sizes = _eigen_clusters(a + dagger(a))
     coef, p, q = _block_commutant(chunks(frame), sizes)
@@ -517,36 +517,33 @@ def _algebra_dims(
     if dim_comm <= 1:
         return dim_comm, d * d
 
-    # Everything below stays in the frame of the first solve.
-    r = np.zeros((d, d), dtype=complex)
-    r[p, q] = coef @ _random_coefficients(dim_comm)
-    frame, sizes = _eigen_clusters(r + dagger(r))
-    if sizes.size == dim_comm:
-        # Abelian commutant: a random element has one cluster per minimal
-        # projection, and the algebra is the direct sum of full matrix blocks.
-        return dim_comm, int(sizes @ sizes)
-    if dim_comm * d * d > MAX_COMMUTANT_UNKNOWNS**2:
-        raise CapExceededError(
-            f"commutant basis of {dim_comm} matrices of size {d} is over the cap"
-        )
-    comm = np.zeros((dim_comm, d, d), dtype=complex)
-    comm[:, p, q] = coef.T
-    return dim_comm, _block_commutant(_in_frame(comm, frame), sizes)[0].shape[1]
+    # Both commutant elements stay in the frame of the solve.
+    pair = np.zeros((2, d, d), dtype=complex)
+    pair[:, p, q] = _random_coefficients(2 * dim_comm).reshape(2, -1) @ coef.T
+    frame, sizes = _eigen_clusters(pair[0] + dagger(pair[0]))
+    starts = np.cumsum(sizes) - sizes
+    power = np.abs(dagger(frame) @ pair[1] @ frame) ** 2
+    power = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+    reach = (power + power.T > LINK_REL**2 * power.max()) + np.eye(sizes.size)
+    for _ in range(sizes.size.bit_length()):  # paths of up to 2^bits steps
+        reach = (reach @ reach > 0).astype(float)
+    summand = reach.argmax(axis=1)  # named by its first cluster
+    firsts, mults = np.unique(summand, return_counts=True)
+    # A cluster merged by CLUSTER_REL breaks one of these instead of the count.
+    if (sizes != sizes[summand]).any() or mults @ mults != dim_comm:
+        raise RuntimeError(f"no consistent block structure for a commutant of dim {dim_comm}")
+    return dim_comm, int(sizes[firsts] @ sizes[firsts])
 
 
 def algebra_dims(mats: Array) -> tuple[int, int]:
     """(dim of the commutant, dim of the generated unital *-algebra) of mats.
 
-    mats is a (count, d, d) stack whose span is closed under adjoints. By the
-    double commutant theorem the algebra is the commutant of the commutant:
-    all d^2 when the commutant is the scalars, the sum of squared ranks of its
-    minimal projections when the commutant is abelian, and otherwise the
-    commutant dimension of a basis of the commutant. Raises CapExceededError
-    before allocating when a solve would pass MAX_COMMUTANT_UNKNOWNS unknowns,
-    or a dense commutant basis more than MAX_COMMUTANT_UNKNOWNS^2 entries.
+    mats is a (count, d, d) stack whose span is closed under adjoints; one
+    commutant solve (_algebra_dims). Raises CapExceededError before
+    allocating when the solve would pass MAX_COMMUTANT_UNKNOWNS unknowns.
     """
     a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
-    return _algebra_dims(a, lambda frame: _in_frame(mats, frame))
+    return _algebra_dims(a, lambda frame: [dagger(frame) @ mats @ frame])
 
 
 @dataclass(frozen=True)
@@ -584,9 +581,8 @@ def minimality_check(
         scalars. The random element of their span is sum_g f_g (I tensor C_g)
         f_g^*, with the coefficients of algebra_dims in (g, r, c) order, and
         the commutant solve takes, per grid point, the n^2 generators
-        H_r H_c^* with H = frame^* A. closure_dim is the dimension of the
-        generated unital *-algebra, read off the double commutant (dim K^2
-        when the commutant is the scalars).
+        H_r H_c^* with H = frame^* A. closure_dim, the dimension of the
+        generated unital *-algebra, is read off the commutant's structure.
 
     grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
     is exact for every g on the grid, and the span genuinely needs grid

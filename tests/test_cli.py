@@ -11,9 +11,11 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cpdilate import dilation, prodsys
-from cpdilate.chan import KrausFamily, channel_to_json, identity_channel
+from cpdilate.chan import KrausFamily, channel_from_json, channel_to_json, identity_channel
 from cpdilate.cli import build_parser, main
 from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL
+
+from conftest import CommutingFamily, mix_of_unitaries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,6 +175,23 @@ class TestChannels:
             "span_dim": 8, "commutant_dim": 1, "closure_dim": 64, "closure_converged": True,
         }
 
+    def test_dilate_redundant_pair_is_not_minimal(self):
+        # Mixes of three commuting unitaries on M_2: Choi rank 2 but Kraus
+        # length 3, so K is too large to be minimal and the commutant is not
+        # abelian. The fixtures are the seed-0 pair of the test helpers.
+        family = CommutingFamily(2, np.random.default_rng(0))
+        paths = [str(FIXTURES / f"channel_mix3_{name}.json") for name in "ab"]
+        for path in paths:
+            with open(path) as f:
+                got = channel_from_json(json.load(f))
+            assert np.array_equal(np.stack(got.ops), np.stack(mix_of_unitaries(family, 3).ops))
+        code, rep = run_cli("dilate", *paths, "--horizon", "2", "2", "--margin", "1", "1")
+        assert code == 1
+        assert rep["dimK"] == 162
+        assert rep["minimality"] == {
+            "span_dim": 32, "commutant_dim": 121, "closure_dim": 1764, "closure_converged": True,
+        }
+
     def test_dilate_combined_file_with_certificate(self, tmp_path):
         z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
         x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
@@ -303,14 +322,26 @@ class TestErrors:
         assert code == 2
         assert "'u'" in rep["error"]
 
+    def test_combined_file_certificate_past_float_range_exits_two(self, tmp_path):
+        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
+        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
+        combined = tmp_path / "pair.json"
+        combined.write_text(json.dumps({"theta": z, "phi": x, "certificate": {"u": [[10**400]]}}))
+        code, rep = run_cli(
+            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
+        )
+        assert code == 2
+        assert "too large" in rep["error"]
+
     @pytest.mark.parametrize(
         "document, message",
         [
             ({"dim": 2, "kraus": 5}, "'kraus'"),
             (5, "JSON object"),
             ({"dim": 1, "kraus": [[[None]]]}, "matrix entry"),
+            ({"dim": 1, "kraus": [[[10**400]]]}, "too large"),
         ],
-        ids=["kraus-number", "top-level-number", "null-entry"],
+        ids=["kraus-number", "top-level-number", "null-entry", "huge-integer"],
     )
     def test_malformed_channel_shape_exits_two(self, tmp_path, document, message):
         bad = tmp_path / "bad.json"
@@ -381,6 +412,23 @@ class TestErrors:
                 code, rep = run_cli(command, str(bad), str(FIXTURES / "stochastic_p_3x3.json"))
                 assert code == 2, (command, name)
                 assert str(bad) in rep["error"], (command, name)
+
+    @pytest.mark.parametrize("command", ["stochastic", "strong-commute"])
+    def test_stochastic_entries_must_be_json_numbers(self, tmp_path, command):
+        # The channel decoder's rule: true/false and numeric strings are not
+        # numbers (both were read as valid stochastic matrices), and an
+        # integer past float range is an input error, not a traceback.
+        bad_matrices = {
+            "booleans": [[True, False], [False, True]],
+            "strings": [["0.5", "0.5"], ["0.5", "0.5"]],
+            "huge": [[10**400, 0], [0, 1]],
+        }
+        for name, matrix in bad_matrices.items():
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps({"matrix": matrix}))
+            code, rep = run_cli(command, str(bad), str(bad))
+            assert code == 2, name
+            assert "array of numbers" in rep["error"], name
 
 
 class TestStochasticFlags:

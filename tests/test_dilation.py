@@ -624,6 +624,14 @@ def _direct_sum(a, b):
     return out
 
 
+_PAULI_Y = np.array([[0, -1j], [1j, 0]])
+_CLIFFORD_GAMMAS = [
+    np.kron(PAULI_X, np.eye(2)),
+    np.kron(_PAULI_Y, np.eye(2)),
+    np.kron(PAULI_Z, PAULI_X),
+    np.kron(PAULI_Z, _PAULI_Y),
+]
+
 # *-closed generator sets with known (commutant, generated algebra) dimensions.
 SYNTHETIC_SETS = {
     "B(C^6)": (_units_of(6), (1, 36)),
@@ -644,6 +652,13 @@ SYNTHETIC_SETS = {
     ),
     # Every element is a multiple of I: the random element is fully degenerate.
     "scalars on C^3": (np.eye(3, dtype=complex)[None], (9, 1)),
+    # Four anticommuting gammas generate M_4, yet every element of their span
+    # has eigenvalues +-|alpha| of multiplicity 2 in M_4: the span's random
+    # element clusters as [4, 4], although the algebra is M_4 x I_2.
+    "Clifford M4 x I2": (
+        np.stack([np.kron(g, np.eye(2)) for g in _CLIFFORD_GAMMAS]),
+        (4, 16),
+    ),
 }
 
 
@@ -662,13 +677,23 @@ class TestCommutant:
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_SETS))
     def test_one_cluster_gives_the_same_counts(self, name, monkeypatch):
-        # Merging clusters only enlarges the search space. With every
-        # eigenvalue in one cluster the solve runs over all of M_d; for the
+        # Merging clusters only enlarges the search space of the solve. With
+        # every eigenvalue in one cluster it runs over all of M_d; for the
         # direct sums S1 and S2 are then not scalar on the block.
         mats, want = SYNTHETIC_SETS[name]
         u = random_unitary(mats.shape[-1], np.random.default_rng(12))
+        mats = u @ mats @ dagger(u)
+        d = mats.shape[-1]
+        coef, _, _ = dilation._block_commutant([mats], np.array([d]))
+        assert coef.shape[1] == want[0]
+        # The structure reading clusters with the same cutoff: a merged
+        # cluster is refused, never counted.
         monkeypatch.setattr(dilation, "CLUSTER_REL", 10.0)
-        assert algebra_dims(u @ mats @ dagger(u)) == want
+        if want[0] == 1:
+            assert algebra_dims(mats) == want
+        else:
+            with pytest.raises(RuntimeError, match="no consistent block structure"):
+                algebra_dims(mats)
 
     def test_cap_raises_before_allocating(self):
         d = math.isqrt(dilation.MAX_COMMUTANT_UNKNOWNS) + 1
@@ -681,16 +706,6 @@ class TestCommutant:
             tracemalloc.stop()
         # The refused solve would hold a (d^2 x d^2) complex operator.
         assert peak < 0.01 * 16 * d**4
-
-    def test_cap_on_dense_commutant_basis(self, monkeypatch):
-        # (M2 x I2) + M1 solves over 9 unknowns twice; its non-abelian
-        # commutant is held as 5 dense 5 x 5 matrices before the second solve.
-        mats, want = SYNTHETIC_SETS["(M2 x I2) + M1"]
-        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 10)
-        with pytest.raises(CapExceededError):
-            algebra_dims(mats)
-        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 12)
-        assert algebra_dims(mats) == want
 
     def test_minimality_check_raises_over_cap(self, zx_pair, monkeypatch):
         sys_, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
@@ -735,19 +750,30 @@ class TestCommutant:
             [res.alpha_corner(g, m) for g in grid_points(limit) for m in _units_of(2)]
         )
         assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dilation.SPAN_DEPTH_CAP)
-        assert rep.commutant_dim == len(oracle_commutant(gens))
+        comm = oracle_commutant(gens)
+        assert rep.commutant_dim == len(comm)
+        # The double-commutant oracle takes 13-16 s at 257-577 elements.
+        if len(comm) <= 64:
+            assert rep.closure_dim == len(oracle_commutant(comm))
 
     def test_redundant_pair_pinned(self):
         # A unital mix of three commuting unitaries for each map: Choi rank 2,
         # Kraus length 3, so K is (3/2)^(a+b) too large to be minimal.
         family = CommutingFamily(2, np.random.default_rng(0))
         theta, phi = mix_of_unitaries(family, 3), mix_of_unitaries(family, 3)
-        for horizon, want in (((1, 1), (8, 4, 100)), ((2, 1), (16, 22, 420))):
+        pinned = (
+            ((1, 1), (8, 4, 100)),
+            ((2, 1), (16, 22, 420)),
+            # A non-abelian commutant: the algebra's summands have
+            # multiplicities above one.
+            ((2, 2), (32, 121, 1764)),
+        )
+        for horizon, want in pinned:
             sys_, _, dsp = pipeline(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
-            rep = minimality_check(lift_operators(dsp, sys_))
+            res = lift_operators(dsp, sys_)
+            rep = minimality_check(res)
             assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == want
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        # res is the (2, 2) dilation.
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError, match="20754 unknowns"):
