@@ -71,12 +71,9 @@ DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
 # span_projector keeps the eigenvalues of F F^* above this times the largest.
 SPAN_CUTOFF = 1e-10
-# minimality_check's span loop keeps directions above these, relative to the
-# largest: eigenvalues of the Gram route for wide piles, singular values else.
-SPAN_GRAM_CUTOFF = 1e-10
+# minimality_check's span loop keeps singular values above this times
+# max(1, the largest).
 SPAN_SVD_CUTOFF = 1e-8
-# Rounds of the minimality span loop: products of at most this many generators.
-SPAN_DEPTH_CAP = 8
 
 
 class OutOfHorizonError(ValueError):
@@ -546,6 +543,15 @@ def algebra_dims(mats: Array) -> tuple[int, int]:
     return _algebra_dims(a, lambda frame: [dagger(frame) @ mats @ frame])
 
 
+def _column_factor(x: Array) -> Array:
+    """x, or R^* of a QR of x^* when x is wider than tall: the same column
+    space, singular values and Gram matrix x x^*, with at most as many
+    columns as rows."""
+    if x.shape[1] <= x.shape[0]:
+        return x
+    return dagger(np.linalg.qr(dagger(x), mode="r"))
+
+
 @dataclass(frozen=True)
 class MinimalityReport:
     grid_limit: GridPoint
@@ -570,12 +576,13 @@ def minimality_check(
     read off the factor block f_g of g; no generator is formed.
 
     (1) Iterate the span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H)
-        until it stabilizes or SPAN_DEPTH_CAP rounds are done; minimality of
-        K means it reaches dim K. A round multiplies the new directions by
-        Y_g = [A_c^* new]_c, replaced by the fd_g x fd_g factor R^* of a QR
-        of Y_g^* when it is wider than tall (the same column space and Gram
-        matrix), and takes [A_r Y_g]_r as candidates, at most n fd_g columns
-        per grid point.
+        until it stops growing or fills K; minimality of K means it reaches
+        dim K. Each round adds a direction or ends the loop, so there are at
+        most dim K rounds. A round multiplies the new directions by
+        Y_g = [A_c^* new]_c, reduced by _column_factor, and takes
+        [A_r Y_g]_r as candidates, at most n fd_g columns per grid point.
+        The candidates projected off the span are reduced the same way
+        before one SVD.
     (2) The generators form a *-closed set, so by the double commutant
         theorem they generate B(K) exactly when their commutant is the
         scalars. The random element of their span is sum_g f_g (I tensor C_g)
@@ -600,20 +607,7 @@ def minimality_check(
     ]
 
     def _orth_columns(cols: Array) -> Array:
-        if cols.shape[1] > cols.shape[0]:
-            # Wide pile: only the column space is needed, and the Gram route
-            # costs one GEMM instead of a fat SVD. The cutoff sits above the
-            # accumulated roundoff floor, so spurious directions are dropped
-            # rather than inflating the span.
-            w = hermitize(cols @ dagger(cols))
-            evals, evecs = np.linalg.eigh(w)
-            top = max(float(evals[-1]), 0.0)
-            if top <= 0.0:
-                return cols[:, :0]
-            return evecs[:, evals > SPAN_GRAM_CUTOFF * max(1.0, top)]
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cols[:, :0]
+        u, s, _ = np.linalg.svd(_column_factor(cols), full_matrices=False)
         return u[:, s > SPAN_SVD_CUTOFF * max(1.0, float(s[0]))]
 
     def _candidates(new: Array) -> Array:
@@ -623,26 +617,20 @@ def minimality_check(
             # x[j, (c, w)] = conj((A_c^* new)[w, j]), so y = [A_c^* new]_c.
             x = dagger(new) @ blk.reshape(d, -1)
             y = x.reshape(-1, n, fd).transpose(2, 1, 0).conj().reshape(fd, -1)
-            if y.shape[1] > fd:
-                # R^* of y^* = QR: the same column space and Gram matrix y y^*.
-                y = dagger(np.linalg.qr(dagger(y), mode="r"))
             # Rows (i, r) of blk @ y are row i of A_r y.
-            pile.append((blk.reshape(d * n, fd) @ y).reshape(d, -1))
+            pile.append((blk.reshape(d * n, fd) @ _column_factor(y)).reshape(d, -1))
         return np.hstack(pile)
 
     # Words in the generators applied to the embedded copy of H; only the
     # directions found in the previous round need another multiplication.
     span = _orth_columns(dsp.embed_h)
     new = span
-    for _ in range(SPAN_DEPTH_CAP):
+    while new.shape[1] and span.shape[1] < d:
         cands = _candidates(new)
         for _ in range(2):
             cands = cands - span @ (dagger(span) @ cands)
-        fresh = _orth_columns(cands)
-        if fresh.shape[1] == 0:
-            break
-        span = np.hstack([span, fresh])
-        new = fresh
+        new = _orth_columns(cands)
+        span = np.hstack([span, new])
     span_rank = span.shape[1]
 
     # sum over (r, c) of C_g[r, c] A_r A_c^* is blk (C_g tensor I) blk^*, flattened.

@@ -67,9 +67,6 @@ class GridPoint:
     def __le__(self, other: "GridPoint") -> bool:
         return self.a <= other.a and self.b <= other.b
 
-    def __ge__(self, other: "GridPoint") -> bool:
-        return other <= self
-
     def key(self) -> tuple[int, int]:
         return (self.a, self.b)
 
@@ -133,11 +130,7 @@ def flip_from_certificate(u: Array, m: int, k: int) -> Array:
     f_j e_i must be sent to the combination of words e_p f_q whose
     representation reproduces S_j T_i.
     """
-    swap = np.zeros((m * k, m * k))
-    for i in range(m):
-        for j in range(k):
-            swap[i * k + j, j * m + i] = 1.0
-    return np.conj(u) @ swap
+    return np.conj(u).reshape(m * k, m, k).transpose(0, 2, 1).reshape(m * k, m * k)
 
 
 def build_product_system(
@@ -207,14 +200,14 @@ class _BlockFlips:
 
     def apply(self, g1: GridPoint, g2: GridPoint, x: Array, form: str = "N") -> Array:
         """The product map U = I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2} of
-        X(g1) tensor X(g2) -> X(g1+g2), as U, U^T or conj(U) (form "N", "T" or
-        "C"), applied to the middle axis of a (pre, fiber_dim(g1+g2), post)
-        array x. Returns x itself when U is the identity.
+        X(g1) tensor X(g2) -> X(g1+g2), as U or U^T (form "N" or "T"), applied
+        to the middle axis of a (pre, fiber_dim(g1+g2), post) array x. Returns
+        x itself when U is the identity.
         """
         sigma = self.get(g1.b, g2.a)
         if sigma is None:
             return x
-        op = {"N": sigma, "T": sigma.T, "C": sigma.conj()}[form]
+        op = {"N": sigma, "T": sigma.T}[form]
         pre, fd, post = x.shape
         out = op @ x.reshape(pre * self.sys.m**g1.a, op.shape[1], -1)
         return out.reshape(pre, fd, post)

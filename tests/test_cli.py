@@ -10,8 +10,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from cpdilate import dilation, prodsys
-from cpdilate.chan import KrausFamily, channel_from_json, channel_to_json, identity_channel
+from cpdilate import cli, dilation, prodsys
+from cpdilate.chan import (
+    KrausFamily,
+    channel_from_json,
+    channel_to_json,
+    identity_channel,
+    kraus_to_choi,
+    matrix_to_json,
+)
 from cpdilate.cli import build_parser, main
 from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL
 
@@ -108,6 +115,43 @@ class TestChannels:
         assert rep["u"] == [[[-1.0, 0.0]]]
         assert rep["unitarity_residual"] <= 1e-9
         assert rep["intertwining_residual"] <= 1e-9
+
+    def test_text_format_lists_the_json_report(self):
+        path = str(FIXTURES / "channel_identity_2.json")
+        code, text = run_cli("--format", "text", "classify", path)
+        _, rep = run_cli("classify", path)
+        assert code == 0
+        lines = text.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == sorted(rep)
+        for line in lines:
+            key, value = line.split(": ", 1)
+            assert json.loads(value) == rep[key]
+
+    def test_choi_form_channel(self, tmp_path):
+        # The file's three Kraus operators have Choi rank 2.
+        with open(FIXTURES / "channel_mix3_a.json") as f:
+            choi = kraus_to_choi(channel_from_json(json.load(f)))
+        path = tmp_path / "choi.json"
+        path.write_text(json.dumps({"dim": 2, "choi": matrix_to_json(choi)}))
+        with open(path) as f:
+            got = channel_from_json(json.load(f))
+        assert len(got) == 2
+        assert np.abs(kraus_to_choi(got) - choi).max() <= 1e-12
+        code, rep = run_cli("classify", str(path))
+        assert code == 0 and rep["is_unital"] is True
+        path.write_text(json.dumps({"dim": 3, "choi": matrix_to_json(choi)}))
+        code, rep = run_cli("classify", str(path))
+        assert code == 2
+        assert "'dim' does not match the Choi matrix size" in rep["error"]
+
+    def test_strong_commute_non_commuting_pair_exits_one(self, tmp_path):
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        h = write_channel(tmp_path, "h.json", KrausFamily(2, (hadamard,)))
+        s = write_channel(tmp_path, "s.json", KrausFamily(2, (np.diag([1.0, 1.0j]),)))
+        code, rep = run_cli("strong-commute", h, s)
+        assert code == 1
+        assert rep["strongly_commute"] is False
+        assert rep["error"]
 
     def test_prodsys_verify(self):
         code, rep = run_cli(
@@ -237,8 +281,6 @@ class TestErrors:
         assert code == 2
 
     def test_strong_commute_reads_each_file_once(self, monkeypatch):
-        from cpdilate import cli
-
         calls = []
         load = cli._load_json
         monkeypatch.setattr(cli, "_load_json", lambda path: calls.append(path) or load(path))
@@ -413,6 +455,44 @@ class TestErrors:
                 assert code == 2, (command, name)
                 assert str(bad) in rep["error"], (command, name)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stochastic", "P", "--check-card"], "--check-card needs exactly two matrices"),
+            (["stochastic", "P", "Q", "P"], "needs exactly two matrices"),
+            (["stochastic", "WIDE"], "'matrix' must be square"),
+            (
+                ["dilate", "Z", "X", "Z", "--horizon", "1", "1", "--margin", "1", "1"],
+                "two channel files or one combined file",
+            ),
+        ],
+        ids=["check-card-one-matrix", "three-matrices", "non-square", "dilate-three-files"],
+    )
+    def test_file_counts_and_shapes_exit_two(self, tmp_path, argv, message):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"matrix": [[0.5, 0.5]]}))
+        files = {
+            "P": FIXTURES / "stochastic_p_3x3.json",
+            "Q": FIXTURES / "stochastic_q_3x3.json",
+            "Z": FIXTURES / "channel_conj_z.json",
+            "X": FIXTURES / "channel_conj_x.json",
+            "WIDE": wide,
+        }
+        code, rep = run_cli(*(str(files.get(arg, arg)) for arg in argv))
+        assert code == 2
+        assert message in rep["error"]
+
+    def test_runtime_error_is_an_internal_failure(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("no consistent block structure")
+
+        monkeypatch.setattr(cli, "check_commute", broken)
+        code, rep = run_cli(
+            "commute", str(FIXTURES / "channel_conj_z.json"), str(FIXTURES / "channel_conj_x.json")
+        )
+        assert code == 2
+        assert rep == {"error": "internal verification failure: no consistent block structure"}
+
     @pytest.mark.parametrize("command", ["stochastic", "strong-commute"])
     def test_stochastic_entries_must_be_json_numbers(self, tmp_path, command):
         # The channel decoder's rule: true/false and numeric strings are not
@@ -455,6 +535,15 @@ class TestStochasticFlags:
             assert rep["irreducible"] == [True]
             rows = np.asarray(rep["semigroup"])
             assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10), t
+
+    def test_reducible_matrix_exits_one(self, tmp_path):
+        reducible = tmp_path / "identity.json"
+        reducible.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, rep = run_cli(
+            "stochastic", str(reducible), str(FIXTURES / "stochastic_p_3x3.json"), "--irreducible"
+        )
+        assert code == 1
+        assert rep["irreducible"] == [False, True]
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-1", "1e308"])
     def test_semigroup_out_of_reach_exits_two(self, t):

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -576,6 +577,30 @@ class TestMinimality:
         rep = minimality_check(res, grid_limit=GridPoint(1, 1))
         assert rep.span_dim < rep.dim_k
 
+    def test_grid_limit_beyond_horizon_rejected(self, corner_pair):
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        with pytest.raises(OutOfHorizonError):
+            minimality_check(res, grid_limit=GridPoint(1, 2))
+
+    def test_span_runs_until_it_stops_growing(self):
+        # Generators e_0 e_0^* and I + 0.4 (path-graph adjacency) on C^12,
+        # started at e_0: each round reaches one more vertex of the path, so
+        # the span needs 11 rounds to fill K.
+        d = 12
+        path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
+        e0 = np.eye(d, 1, dtype=complex)
+        top = GridPoint(1, 0)
+        dsp = SimpleNamespace(
+            horizon=top,
+            dim_k=d,
+            blocks={ZERO: e0, top: np.linalg.cholesky(np.eye(d) + 0.4 * path).astype(complex)},
+            embed_h=e0,
+        )
+        rep = minimality_check(SimpleNamespace(dsp=dsp, sys=SimpleNamespace(dim_h=1)))
+        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (d, 1, d * d)
+        assert rep.passed
+
 
 def oracle_span_dim(gens, start, rounds, tol=1e-8):
     """Dimension of the span of the words of length <= rounds in gens applied
@@ -749,7 +774,10 @@ class TestCommutant:
         gens = np.stack(
             [res.alpha_corner(g, m) for g in grid_points(limit) for m in _units_of(2)]
         )
-        assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dilation.SPAN_DEPTH_CAP)
+        # The oracle stops once its span stops growing; dim K rounds always suffice.
+        assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dsp.dim_k)
+        # A scalar commutant means the generators generate B(K), so the span is K.
+        assert rep.commutant_dim != 1 or rep.span_full
         comm = oracle_commutant(gens)
         assert rep.commutant_dim == len(comm)
         # The double-commutant oracle takes 13-16 s at 257-577 elements.
