@@ -34,7 +34,6 @@ from .linalg import (
     phase_fix,
     require_finite,
     unvec,
-    vec,
 )
 
 # Structural guard at construction; predicates use the caller's tolerance.
@@ -201,20 +200,11 @@ def choi_to_super(choi: Array) -> Array:
     return _reshuffle(np.asarray(choi, dtype=complex))
 
 
-def super_to_choi(s: Array) -> Array:
-    return _reshuffle(np.asarray(s, dtype=complex))
-
-
 def apply_kraus(k: KrausFamily, a: Array) -> Array:
     a = np.asarray(a, dtype=complex)
     if a.shape != (k.dim, k.dim):
         raise DimensionMismatchError(f"argument has shape {a.shape}, expected {(k.dim, k.dim)}")
     return sum(t @ a @ dagger(t) for t in k.ops)
-
-
-def apply_super(s: Array, a: Array) -> Array:
-    n = int(round(np.sqrt(s.shape[0])))
-    return unvec(s @ vec(np.asarray(a, dtype=complex)), n)
 
 
 def compose(k1: KrausFamily, k2: KrausFamily) -> KrausFamily:

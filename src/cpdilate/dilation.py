@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,11 +97,18 @@ def build_big_space(
     """The grid below the horizon and its block dimensions, or CapExceededError
     when their total passes cap. Returns (big, sys), the first two arguments
     of build_dilation_space."""
-    points = tuple(grid_points(horizon))
-    dims = {g: sys.fiber_dim(g) * sys.dim_h for g in points}
-    total = sum(dims.values())
+    # Block g has dimension n m^a k^b: the total is n times a geometric sum per
+    # axis. A power past 2^4096 is not formed; base^top >= 2^top > cap refuses.
+    sums = []
+    for base, top in ((sys.m, horizon.a), (sys.k, horizon.b)):
+        if base > 1 and (top + 1) * base.bit_length() > 4096 and top >= cap.bit_length():
+            raise CapExceededError(f"big space dimension over 2^{top} exceeds cap {cap}")
+        sums.append(top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1))
+    total = sys.dim_h * sums[0] * sums[1]
     if total > cap:
         raise CapExceededError(f"big space dimension {total} exceeds cap {cap}")
+    points = tuple(grid_points(horizon))
+    dims = {g: sys.fiber_dim(g) * sys.dim_h for g in points}
     return BigSpace(horizon=horizon, points=points, dims=dims, total_dim=total), sys
 
 
@@ -124,13 +132,22 @@ class DilationSpace:
     blocks: dict           # g -> T_g^*, dim_k x dims[g], in grid_points order
     dim_k: int
     embed_h: Array         # dim_k x n isometry, the copy of H at grid point 0
-    gram_min_eig: float    # smallest eigenvalue of the generator Gram matrix
-    kept_min: float        # smallest eigenvalue of sum_g T_g^* T_g
-    dropped_max: float     # always 0.0: no direction of K is dropped
+    dropped_max = 0.0      # not a field: no direction of K is dropped
 
     @property
     def horizon(self) -> GridPoint:
         return self.big.horizon
+
+    @cached_property
+    def kept_min(self) -> float:
+        """Smallest eigenvalue of sum_g T_g^* T_g."""
+        return float(np.linalg.eigvalsh(_cover(self.blocks, self.horizon))[0])
+
+    @property
+    def gram_min_eig(self) -> float:
+        """Smallest eigenvalue of the generator Gram matrix: it has the
+        spectrum of sum_g T_g^* T_g plus total_dim - dim_k zeros."""
+        return 0.0 if self.big.total_dim > self.dim_k else self.kept_min
 
     def span_projector(self, limit: GridPoint) -> Array:
         """Orthogonal projector onto the span of generators at points <= limit.
@@ -182,19 +199,8 @@ def build_dilation_space(
         # rep_r^* has rows (X(r), H): block w is W_w^*.
         rep_h = words[top - s].conj().transpose(0, 2, 1).reshape(-1, n)
         blocks[s] = _left_multiply(flips, s, top - s, rep_h)
-    dim_k = big.dims[top]
-    kept_min = float(np.linalg.eigvalsh(_cover(blocks, top))[0])
     return DilationSpace(
-        big=big,
-        margin=margin,
-        blocks=blocks,
-        dim_k=dim_k,
-        embed_h=blocks[ZERO],
-        # The Gram matrix has the spectrum of sum_g T_g^* T_g plus
-        # total_dim - dim_k zeros.
-        gram_min_eig=0.0 if big.total_dim > dim_k else kept_min,
-        kept_min=kept_min,
-        dropped_max=0.0,
+        big=big, margin=margin, blocks=blocks, dim_k=big.dims[top], embed_h=blocks[ZERO]
     )
 
 
@@ -554,7 +560,6 @@ def _column_factor(x: Array) -> Array:
 
 @dataclass(frozen=True)
 class MinimalityReport:
-    grid_limit: GridPoint
     dim_k: int
     span_dim: int
     span_full: bool
@@ -563,47 +568,43 @@ class MinimalityReport:
 
     @property
     def passed(self) -> bool:
-        return self.span_full and self.commutant_dim == 1
+        # A scalar commutant makes the span full (minimality_check).
+        return self.commutant_dim == 1
 
 
-def minimality_check(
-    res: EDilationResult, grid_limit: GridPoint | None = None
-) -> MinimalityReport:
-    """Span and commutant diagnostics for minimality.
+def minimality_check(res: EDilationResult) -> MinimalityReport:
+    """Commutant and span diagnostics for minimality.
 
-    The generators are alpha_g(e_rc) = A_r A_c^* for grid points
-    g <= grid_limit and matrix units e_rc, with A_r = f_g.reshape(d, fd, n)[:, :, r]
-    read off the factor block f_g of g; no generator is formed.
+    The generators are alpha_g(e_rc) = A_r A_c^* for every grid point g up
+    to the horizon and matrix units e_rc, with A_r = f_g.reshape(d, fd, n)[:, :, r]
+    read off the factor block f_g of g; no generator is formed. On
+    corner-embedded arguments alpha_g is exact at every grid point, and the
+    span needs grid points beyond the operator margin to exhaust K.
 
-    (1) Iterate the span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H)
-        until it stops growing or fills K; minimality of K means it reaches
-        dim K. Each round adds a direction or ends the loop, so there are at
-        most dim K rounds. A round multiplies the new directions by
-        Y_g = [A_c^* new]_c, reduced by _column_factor, and takes
-        [A_r Y_g]_r as candidates, at most n fd_g columns per grid point.
-        The candidates projected off the span are reduced the same way
-        before one SVD.
-    (2) The generators form a *-closed set, so by the double commutant
+    (1) The generators form a *-closed set, so by the double commutant
         theorem they generate B(K) exactly when their commutant is the
         scalars. The random element of their span is sum_g f_g (I tensor C_g)
         f_g^*, with the coefficients of algebra_dims in (g, r, c) order, and
         the commutant solve takes, per grid point, the n^2 generators
         H_r H_c^* with H = frame^* A. closure_dim, the dimension of the
         generated unital *-algebra, is read off the commutant's structure.
-
-    grid_limit defaults to the horizon: on corner-embedded arguments alpha_g
-    is exact for every g on the grid, and the span genuinely needs grid
-    points beyond the operator margin to exhaust K.
+    (2) The span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H) is
+        invariant under the generated algebra. B(K) has no proper invariant
+        subspace, so with a scalar commutant the span is K and is not
+        formed. Otherwise it is grown until it stops growing or fills K.
+        Each round adds a direction or ends the loop, so there are at most
+        dim K rounds. A round multiplies the new directions by
+        Y_g = [A_c^* new]_c, reduced by _column_factor, and takes
+        [A_r Y_g]_r as candidates, at most n fd_g columns per grid point.
+        The candidates projected off the span are reduced the same way
+        before one SVD.
     """
     dsp, sys = res.dsp, res.sys
-    limit = dsp.horizon if grid_limit is None else grid_limit
-    if not limit <= dsp.horizon:
-        raise OutOfHorizonError(f"{limit.key()} exceeds the horizon")
     n, d = sys.dim_h, dsp.dim_k
     # blocks[g][:, r, :] = A_r, one contiguous (d, n, fd_g) stack per grid point.
     blocks = [
         np.ascontiguousarray(dsp.blocks[g].reshape(d, -1, n).transpose(0, 2, 1))
-        for g in grid_points(limit)
+        for g in grid_points(dsp.horizon)
     ]
 
     def _orth_columns(cols: Array) -> Array:
@@ -621,18 +622,6 @@ def minimality_check(
             pile.append((blk.reshape(d * n, fd) @ _column_factor(y)).reshape(d, -1))
         return np.hstack(pile)
 
-    # Words in the generators applied to the embedded copy of H; only the
-    # directions found in the previous round need another multiplication.
-    span = _orth_columns(dsp.embed_h)
-    new = span
-    while new.shape[1] and span.shape[1] < d:
-        cands = _candidates(new)
-        for _ in range(2):
-            cands = cands - span @ (dagger(span) @ cands)
-        new = _orth_columns(cands)
-        span = np.hstack([span, new])
-    span_rank = span.shape[1]
-
     # sum over (r, c) of C_g[r, c] A_r A_c^* is blk (C_g tensor I) blk^*, flattened.
     coefs = _random_coefficients(len(blocks) * n * n).reshape(-1, n, n)
     a = np.zeros((d, d), dtype=complex)
@@ -648,8 +637,20 @@ def minimality_check(
             yield outer.transpose(1, 3, 0, 2).reshape(n * n, d, d)
 
     commutant_dim, closure_dim = _algebra_dims(a, _chunks)
+    span_rank = d  # a scalar commutant: the span is K, (2)
+    if commutant_dim != 1:
+        # Words in the generators applied to the embedded copy of H; only the
+        # directions found in the previous round need another multiplication.
+        span = _orth_columns(dsp.embed_h)
+        new = span
+        while new.shape[1] and span.shape[1] < d:
+            cands = _candidates(new)
+            for _ in range(2):
+                cands = cands - span @ (dagger(span) @ cands)
+            new = _orth_columns(cands)
+            span = np.hstack([span, new])
+        span_rank = span.shape[1]
     return MinimalityReport(
-        grid_limit=limit,
         dim_k=d,
         span_dim=span_rank,
         span_full=span_rank == d,

@@ -222,13 +222,6 @@ def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> Fiber
     return FiberVector(x.grid + y.grid, out[0, :, 0])
 
 
-def product_unitary(sys: TwistedProductSystem, g1: GridPoint, g2: GridPoint) -> Array:
-    """Multiplication map X(g1) tensor X(g2) -> X(g1+g2) on coordinates,
-    I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2}."""
-    eye = np.eye(sys.fiber_dim(g1 + g2), dtype=complex)
-    return _BlockFlips(sys).apply(g1, g2, eye[None])[0]
-
-
 def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
     """g -> the (fiber_dim(g), n, n) stack of the word operators
     T_{i_1}..T_{i_a}S_{j_1}..S_{j_b} of X(g), for every g <= horizon in grid order.
@@ -248,11 +241,6 @@ def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
     """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b}."""
     return _word_operators(sys, g)[g].transpose(1, 0, 2).reshape(sys.dim_h, -1)
-
-
-def representation_of_vector(sys: TwistedProductSystem, x: FiberVector) -> Array:
-    """T(x) = sum over words w of x_w W_w."""
-    return np.tensordot(x.coords, _word_operators(sys, x.grid)[x.grid], axes=1)
 
 
 def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array):

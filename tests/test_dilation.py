@@ -249,6 +249,35 @@ class TestBigSpace:
         with pytest.raises(CapExceededError):
             build_big_space(sys_, GridPoint(3, 3), cap=10)
 
+    @pytest.mark.parametrize(
+        "pair, horizon, message",
+        [
+            ("zx_pair", (2000, 2000), "dimension 8008002 exceeds cap 8192"),
+            ("corner_pair", (2000, 2000), r"dimension \d{600,} exceeds cap 8192"),
+            # 2^100001 is not formed: it would not even print.
+            ("corner_pair", (100000, 0), r"dimension over 2\^100000 exceeds cap 8192"),
+        ],
+        ids=["zx", "corner", "corner-unformed"],
+    )
+    def test_cap_refuses_before_enumerating_the_grid(self, pair, horizon, message, request):
+        # The total comes from the Kraus lengths: no grid point is built.
+        sys_ = make_system(*request.getfixturevalue(pair))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=message):
+                build_big_space(sys_, GridPoint(*horizon))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # The closed-form total is the sum of the block dimensions, and the
+        # cap refuses exactly the totals above it.
+        big, _ = build_big_space(sys_, GridPoint(3, 2))
+        assert big.total_dim == sum(big.dims.values())
+        build_big_space(sys_, GridPoint(3, 2), cap=big.total_dim)
+        with pytest.raises(CapExceededError):
+            build_big_space(sys_, GridPoint(3, 2), cap=big.total_dim - 1)
+
     def test_coisometry_on_interior_blocks(self, corner_pair):
         sys_, big, _ = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
         for step in (GridPoint(1, 0), GridPoint(0, 1), GridPoint(1, 1)):
@@ -570,36 +599,47 @@ class TestMinimality:
         assert rep.commutant_dim == 1
         assert rep.closure_dim == 128**2
 
-    def test_span_not_full_below_horizon(self, corner_pair):
-        # Restricting the grid to the margin cannot exhaust a proper dilation.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
-        rep = minimality_check(res, grid_limit=GridPoint(1, 1))
-        assert rep.span_dim < rep.dim_k
-
-    def test_grid_limit_beyond_horizon_rejected(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
-        with pytest.raises(OutOfHorizonError):
-            minimality_check(res, grid_limit=GridPoint(1, 2))
-
-    def test_span_runs_until_it_stops_growing(self):
-        # Generators e_0 e_0^* and I + 0.4 (path-graph adjacency) on C^12,
-        # started at e_0: each round reaches one more vertex of the path, so
-        # the span needs 11 rounds to fill K.
+    def test_span_runs_until_it_stops_growing(self, monkeypatch):
+        # Generators e_0 e_0^* + 0 and (I + 0.4 path-graph adjacency) + [1]
+        # on C^12 + C: the commutant is C + C, so the span is grown. Started
+        # at e_0, each round reaches one more vertex of the path, so the
+        # span needs 11 rounds to fill C^12 and never leaves it.
         d = 12
         path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
-        e0 = np.eye(d, 1, dtype=complex)
+        e0 = np.eye(d + 1, 1, dtype=complex)
         top = GridPoint(1, 0)
+        chol = np.linalg.cholesky(np.eye(d) + 0.4 * path)
         dsp = SimpleNamespace(
             horizon=top,
-            dim_k=d,
-            blocks={ZERO: e0, top: np.linalg.cholesky(np.eye(d) + 0.4 * path).astype(complex)},
+            dim_k=d + 1,
+            blocks={ZERO: e0, top: _direct_sum(chol, np.eye(1))},
             embed_h=e0,
         )
+        calls = []
+        factor = dilation._column_factor
+        monkeypatch.setattr(
+            dilation, "_column_factor", lambda x: calls.append(1) or factor(x)
+        )
         rep = minimality_check(SimpleNamespace(dsp=dsp, sys=SimpleNamespace(dim_h=1)))
-        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (d, 1, d * d)
-        assert rep.passed
+        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (d, 2, d * d + 1)
+        assert not rep.span_full and not rep.passed
+        # One call for the start, then one per grid point and one for the
+        # SVD in every round.
+        assert len(calls) >= 1 + 3 * 11
+
+    def test_scalar_commutant_skips_the_span(self, corner_pair, monkeypatch):
+        # B(K) has no proper invariant subspace: with a scalar commutant the
+        # span is K without a single round of the loop.
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(3, 3), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+
+        def refuse(x):
+            raise AssertionError("the span loop ran")
+
+        monkeypatch.setattr(dilation, "_column_factor", refuse)
+        rep = minimality_check(res)
+        assert rep.span_dim == rep.dim_k and rep.span_full
+        assert rep.commutant_dim == 1 and rep.passed
 
 
 def oracle_span_dim(gens, start, rounds, tol=1e-8):
@@ -736,25 +776,32 @@ class TestCommutant:
         sys_, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
         res = lift_operators(dsp, sys_)
         monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)
-        with pytest.raises(CapExceededError):
-            minimality_check(res)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                minimality_check(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Refused on the first solve's size, before any span is grown:
+        # about 8 KiB of blocks and frames are held.
+        assert peak < 2**16
 
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         lengths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         horizon=st.tuples(st.integers(1, 2), st.integers(1, 2)),
-        limit=st.tuples(st.integers(0, 2), st.integers(0, 2)),
         pauli=st.booleans(),
     )
     # An ill-conditioned certificate once left 1e-13 roundoff in the Gram matrix.
-    @example(seed=0, lengths=(1, 2), horizon=(1, 1), limit=(0, 0), pauli=False)
+    @example(seed=0, lengths=(1, 2), horizon=(1, 1), pauli=False)
     # Three commuting unitaries on M_2 are linearly dependent: K is not
     # minimal, and the commutant is M_2, which takes the non-abelian solve.
-    @example(seed=0, lengths=(3, 3), horizon=(1, 1), limit=(1, 1), pauli=False)
+    @example(seed=0, lengths=(3, 3), horizon=(1, 1), pauli=False)
     # Words that anticommute: the flip has complex entries.
-    @example(seed=0, lengths=(2, 2), horizon=(2, 2), limit=(2, 1), pauli=True)
-    def test_random_pairs_match_oracle(self, seed, lengths, horizon, limit, pauli):
+    @example(seed=0, lengths=(2, 2), horizon=(2, 2), pauli=True)
+    def test_random_pairs_match_oracle(self, seed, lengths, horizon, pauli):
         rng = np.random.default_rng(seed)
         if pauli:
             theta, phi = pauli_mix_pair(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng)
@@ -765,19 +812,18 @@ class TestCommutant:
         # dim K <= 32 keeps the d^4 oracle small.
         assume(lengths[0] ** horizon[0] * lengths[1] ** horizon[1] <= 16)
         horizon = GridPoint(*horizon)
-        limit = GridPoint(min(limit[0], horizon.a), min(limit[1], horizon.b))
         sys_, big, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
         assert_factor_matches_oracle(sys_, big, dsp)
         res = lift_operators(dsp, sys_)
-        rep = minimality_check(res, grid_limit=limit)
+        rep = minimality_check(res)
         # The oracle's generators come from the explicit kron formula.
         gens = np.stack(
-            [res.alpha_corner(g, m) for g in grid_points(limit) for m in _units_of(2)]
+            [res.alpha_corner(g, m) for g in grid_points(horizon) for m in _units_of(2)]
         )
-        # The oracle stops once its span stops growing; dim K rounds always suffice.
+        # The oracle stops once its span stops growing; dim K rounds always
+        # suffice. It grows the span whatever the commutant, so it also checks
+        # the span that a scalar commutant implies.
         assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dsp.dim_k)
-        # A scalar commutant means the generators generate B(K), so the span is K.
-        assert rep.commutant_dim != 1 or rep.span_full
         comm = oracle_commutant(gens)
         assert rep.commutant_dim == len(comm)
         # The double-commutant oracle takes 13-16 s at 257-577 elements.
@@ -801,13 +847,3 @@ class TestCommutant:
             res = lift_operators(dsp, sys_)
             rep = minimality_check(res)
             assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == want
-        # res is the (2, 2) dilation.
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapExceededError, match="20754 unknowns"):
-                minimality_check(res, grid_limit=GridPoint(1, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The refused solve would hold 20754^2 complex entries (6.4 GiB).
-        assert peak < 8 * 2**20
