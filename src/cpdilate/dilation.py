@@ -39,7 +39,7 @@ the horizon, which is what the minimality checks use.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +60,7 @@ from .prodsys import (
     GridPoint,
     TwistedProductSystem,
     _BlockFlips,
+    _big_space_dim,
     _kraus_grid,
     _matrix_units,
     _word_operators,
@@ -72,9 +73,6 @@ DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
 # span_projector keeps the eigenvalues of F F^* above this times the largest.
 SPAN_CUTOFF = 1e-10
-# minimality_check's span loop keeps singular values above this times
-# max(1, the largest).
-SPAN_SVD_CUTOFF = 1e-8
 
 
 class OutOfHorizonError(ValueError):
@@ -97,16 +95,7 @@ def build_big_space(
     """The grid below the horizon and its block dimensions, or CapExceededError
     when their total passes cap. Returns (big, sys), the first two arguments
     of build_dilation_space."""
-    # Block g has dimension n m^a k^b: the total is n times a geometric sum per
-    # axis. A power past 2^4096 is not formed; base^top >= 2^top > cap refuses.
-    sums = []
-    for base, top in ((sys.m, horizon.a), (sys.k, horizon.b)):
-        if base > 1 and (top + 1) * base.bit_length() > 4096 and top >= cap.bit_length():
-            raise CapExceededError(f"big space dimension over 2^{top} exceeds cap {cap}")
-        sums.append(top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1))
-    total = sys.dim_h * sums[0] * sums[1]
-    if total > cap:
-        raise CapExceededError(f"big space dimension {total} exceeds cap {cap}")
+    total = _big_space_dim(sys, horizon, cap)
     points = tuple(grid_points(horizon))
     dims = {g: sys.fiber_dim(g) * sys.dim_h for g in points}
     return BigSpace(horizon=horizon, points=points, dims=dims, total_dim=total), sys
@@ -502,9 +491,9 @@ def _block_commutant(chunks: Iterable[Array], sizes: Array) -> tuple[Array, Arra
     return evecs[:, evals < 0.01 * COMMUTANT_TOL * scale], p, q
 
 
-def _algebra_dims(a: Array, chunks: Callable[[Array], Iterable[Array]]) -> tuple[int, int]:
-    """algebra_dims of a generator set given by a random element a of its
-    span and chunks(frame), its generators moved into a frame.
+def _closure_dim(coef: Array, p: Array, q: Array, d: int) -> int:
+    """Dimension of the generated unital *-algebra, read off the commutant
+    basis (coef, p, q) of _block_commutant on C^d.
 
     The algebra is a sum of M_{d_i} tensor I_{m_i}, its commutant of
     I_{d_i} tensor M_{m_i} (Maehara and Murota, Japan J. Indust. Appl. Math.
@@ -513,12 +502,9 @@ def _algebra_dims(a: Array, chunks: Callable[[Array], Iterable[Array]]) -> tuple
     links two clusters exactly when they share a summand. A span element
     would not do: it can be degenerate inside one summand.
     """
-    d = a.shape[0]
-    frame, sizes = _eigen_clusters(a + dagger(a))
-    coef, p, q = _block_commutant(chunks(frame), sizes)
     dim_comm = coef.shape[1]
     if dim_comm <= 1:
-        return dim_comm, d * d
+        return d * d
 
     # Both commutant elements stay in the frame of the solve.
     pair = np.zeros((2, d, d), dtype=complex)
@@ -535,27 +521,20 @@ def _algebra_dims(a: Array, chunks: Callable[[Array], Iterable[Array]]) -> tuple
     # A cluster merged by CLUSTER_REL breaks one of these instead of the count.
     if (sizes != sizes[summand]).any() or mults @ mults != dim_comm:
         raise RuntimeError(f"no consistent block structure for a commutant of dim {dim_comm}")
-    return dim_comm, int(sizes[firsts] @ sizes[firsts])
+    return int(sizes[firsts] @ sizes[firsts])
 
 
 def algebra_dims(mats: Array) -> tuple[int, int]:
     """(dim of the commutant, dim of the generated unital *-algebra) of mats.
 
     mats is a (count, d, d) stack whose span is closed under adjoints; one
-    commutant solve (_algebra_dims). Raises CapExceededError before
+    commutant solve (_block_commutant). Raises CapExceededError before
     allocating when the solve would pass MAX_COMMUTANT_UNKNOWNS unknowns.
     """
     a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
-    return _algebra_dims(a, lambda frame: [dagger(frame) @ mats @ frame])
-
-
-def _column_factor(x: Array) -> Array:
-    """x, or R^* of a QR of x^* when x is wider than tall: the same column
-    space, singular values and Gram matrix x x^*, with at most as many
-    columns as rows."""
-    if x.shape[1] <= x.shape[0]:
-        return x
-    return dagger(np.linalg.qr(dagger(x), mode="r"))
+    frame, sizes = _eigen_clusters(a + dagger(a))
+    coef, p, q = _block_commutant([dagger(frame) @ mats @ frame], sizes)
+    return coef.shape[1], _closure_dim(coef, p, q, len(frame))
 
 
 @dataclass(frozen=True)
@@ -588,16 +567,18 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         the commutant solve takes, per grid point, the n^2 generators
         H_r H_c^* with H = frame^* A. closure_dim, the dimension of the
         generated unital *-algebra, is read off the commutant's structure.
-    (2) The span of alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) embed(H) is
-        invariant under the generated algebra. B(K) has no proper invariant
-        subspace, so with a scalar commutant the span is K and is not
-        formed. Otherwise it is grown until it stops growing or fills K.
-        Each round adds a direction or ends the loop, so there are at most
-        dim K rounds. A round multiplies the new directions by
-        Y_g = [A_c^* new]_c, reduced by _column_factor, and takes
-        [A_r Y_g]_r as candidates, at most n fd_g columns per grid point.
-        The candidates projected off the span are reduced the same way
-        before one SVD.
+    (2) The span of the words alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) applied
+        to E H, with E = f_0 the embedding of H, is invariant under the
+        generated algebra R = sum_i M_{d_i} tensor I_{m_i}. E E^*, the sum of
+        A_r A_r^* at g = 0, lies in R, so it is sum_i Q_i tensor I_{m_i} and
+        the span is the sum of the summands with Q_i != 0. The
+        Hilbert-Schmidt projection of E E^* onto the commutant (the
+        trace-preserving conditional expectation) is sum_i (rank Q_i / d_i) Z_i,
+        Z_i the unit of summand i. Its rank is the span's dimension and its
+        nonzero eigenvalues are at least 1 / dim K, so those above
+        0.5 / dim K are counted. The commutant basis is Hilbert-Schmidt
+        orthonormal and block-diagonal over the solve's clusters, so the
+        projection is formed on the unknowns and read block by block.
     """
     dsp, sys = res.dsp, res.sys
     n, d = sys.dim_h, dsp.dim_k
@@ -606,21 +587,6 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         np.ascontiguousarray(dsp.blocks[g].reshape(d, -1, n).transpose(0, 2, 1))
         for g in grid_points(dsp.horizon)
     ]
-
-    def _orth_columns(cols: Array) -> Array:
-        u, s, _ = np.linalg.svd(_column_factor(cols), full_matrices=False)
-        return u[:, s > SPAN_SVD_CUTOFF * max(1.0, float(s[0]))]
-
-    def _candidates(new: Array) -> Array:
-        pile = []
-        for blk in blocks:
-            fd = blk.shape[2]
-            # x[j, (c, w)] = conj((A_c^* new)[w, j]), so y = [A_c^* new]_c.
-            x = dagger(new) @ blk.reshape(d, -1)
-            y = x.reshape(-1, n, fd).transpose(2, 1, 0).conj().reshape(fd, -1)
-            # Rows (i, r) of blk @ y are row i of A_r y.
-            pile.append((blk.reshape(d * n, fd) @ _column_factor(y)).reshape(d, -1))
-        return np.hstack(pile)
 
     # sum over (r, c) of C_g[r, c] A_r A_c^* is blk (C_g tensor I) blk^*, flattened.
     coefs = _random_coefficients(len(blocks) * n * n).reshape(-1, n, n)
@@ -636,24 +602,21 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
             outer = (h @ dagger(h)).reshape(d, n, d, n)
             yield outer.transpose(1, 3, 0, 2).reshape(n * n, d, d)
 
-    commutant_dim, closure_dim = _algebra_dims(a, _chunks)
-    span_rank = d  # a scalar commutant: the span is K, (2)
-    if commutant_dim != 1:
-        # Words in the generators applied to the embedded copy of H; only the
-        # directions found in the previous round need another multiplication.
-        span = _orth_columns(dsp.embed_h)
-        new = span
-        while new.shape[1] and span.shape[1] < d:
-            cands = _candidates(new)
-            for _ in range(2):
-                cands = cands - span @ (dagger(span) @ cands)
-            new = _orth_columns(cands)
-            span = np.hstack([span, new])
-        span_rank = span.shape[1]
+    frame, sizes = _eigen_clusters(a + dagger(a))
+    coef, p, q = _block_commutant(_chunks(frame), sizes)
+    # The projection of E E^* onto the commutant, on the unknowns (p, q) of the
+    # solve; those of one cluster are one row-major block.
+    e = dagger(frame) @ dsp.blocks[ZERO]
+    y = coef @ (dagger(coef) @ np.einsum("uj,uj->u", e[p], e[q].conj()))
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    span_rank = 0
+    for s in np.unique(sizes):
+        block = y[starts[sizes == s, None] + np.arange(s * s)].reshape(-1, s, s)
+        span_rank += int((np.linalg.eigvalsh(block) > 0.5 / d).sum())
     return MinimalityReport(
         dim_k=d,
         span_dim=span_rank,
         span_full=span_rank == d,
-        commutant_dim=commutant_dim,
-        closure_dim=closure_dim,
+        commutant_dim=coef.shape[1],
+        closure_dim=_closure_dim(coef, p, q, d),
     )

@@ -273,6 +273,24 @@ def _matrix_units(n: int) -> Array:
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
+def _big_space_dim(sys: TwistedProductSystem, horizon: GridPoint, cap: int) -> int:
+    """The sum of dim X(g) tensor H over the grid points g below the horizon,
+    or CapExceededError when it passes cap; no grid point is built.
+
+    Block g has dimension n m^a k^b: the total is n times a geometric sum per
+    axis. A power past 2^4096 is not formed; base^top >= 2^top > cap refuses.
+    """
+    sums = []
+    for base, top in ((sys.m, horizon.a), (sys.k, horizon.b)):
+        if base > 1 and (top + 1) * base.bit_length() > 4096 and top >= cap.bit_length():
+            raise CapExceededError(f"big space dimension over 2^{top} exceeds cap {cap}")
+        sums.append(top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1))
+    total = sys.dim_h * sums[0] * sums[1]
+    if total > cap:
+        raise CapExceededError(f"big space dimension {total} exceeds cap {cap}")
+    return total
+
+
 def verify_representation(
     sys: TwistedProductSystem,
     horizon: GridPoint,
@@ -286,13 +304,12 @@ def verify_representation(
         the single matrix identity rep_{g1+g2} (U_{g1,g2} tensor I) =
         rep_{g1} (I tensor rep_{g2}); (3) when both maps are unital, each
         rep_g is a coisometry.
+
+    Raises CapExceededError, before any word operator is built, when the sum
+    of dim X(g) tensor H over the grid passes cap.
     """
     n = sys.dim_h
-    for g in grid_points(horizon):
-        if sys.fiber_dim(g) * n > cap:
-            raise CapExceededError(
-                f"fiber space at {g.key()} has dimension {sys.fiber_dim(g) * n} > cap {cap}"
-            )
+    _big_space_dim(sys, horizon, cap)
     words = _word_operators(sys, horizon)
     # Entry [i, w, j] of reps[g] is entry (i, j) of the operator of fiber word w.
     reps = {g: np.ascontiguousarray(w.transpose(1, 0, 2)) for g, w in words.items()}

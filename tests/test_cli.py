@@ -345,6 +345,17 @@ class TestErrors:
         assert code == 2
         assert rep == {"error": "big space dimension 32 exceeds cap 10"}
 
+    def test_prodsys_cap_bounds_the_grid(self):
+        # One-dimensional fibers: the total over the grid is what is capped.
+        code, rep = run_cli(
+            "prodsys", "verify",
+            str(FIXTURES / "channel_conj_z.json"),
+            str(FIXTURES / "channel_conj_x.json"),
+            "--horizon", "100", "100",
+        )
+        assert code == 2
+        assert rep == {"error": "big space dimension 20402 exceeds cap 4096"}
+
     @pytest.mark.parametrize("dim", [None, True, 1.5, "1"])
     def test_non_integer_dim_exits_two(self, tmp_path, dim):
         bad = tmp_path / "baddim.json"

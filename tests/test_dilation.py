@@ -567,13 +567,14 @@ class TestMinimality:
         assert rep.commutant_dim == 1
 
     def test_corner_pair_commutant_is_scalars(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
-        rep = minimality_check(res)
-        assert rep.span_full
-        assert rep.commutant_dim == 1
-        # R = B(K): the generated algebra is everything.
-        assert rep.closure_dim == rep.dim_k**2
+        for horizon in ((2, 2), (3, 3)):
+            sys_, _, dsp = pipeline(*corner_pair, GridPoint(*horizon), GridPoint(1, 1))
+            res = lift_operators(dsp, sys_)
+            rep = minimality_check(res)
+            assert rep.span_dim == rep.dim_k and rep.span_full
+            assert rep.commutant_dim == 1 and rep.passed
+            # R = B(K): the generated algebra is everything.
+            assert rep.closure_dim == rep.dim_k**2
 
     def test_mix_pair_at_dim_k_128(self):
         # The d^2 x d^2 commutator operator would need 12.8 GiB here, and the
@@ -599,47 +600,40 @@ class TestMinimality:
         assert rep.commutant_dim == 1
         assert rep.closure_dim == 128**2
 
-    def test_span_runs_until_it_stops_growing(self, monkeypatch):
-        # Generators e_0 e_0^* + 0 and (I + 0.4 path-graph adjacency) + [1]
-        # on C^12 + C: the commutant is C + C, so the span is grown. Started
-        # at e_0, each round reaches one more vertex of the path, so the
-        # span needs 11 rounds to fill C^12 and never leaves it.
+    @staticmethod
+    def _path_graph_check(embed):
+        # Generators embed embed^* and (I + 0.4 path-graph adjacency) + [1] on
+        # C^12 + C; the second one alone generates M_12 + C.
         d = 12
         path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
-        e0 = np.eye(d + 1, 1, dtype=complex)
         top = GridPoint(1, 0)
         chol = np.linalg.cholesky(np.eye(d) + 0.4 * path)
         dsp = SimpleNamespace(
             horizon=top,
             dim_k=d + 1,
-            blocks={ZERO: e0, top: _direct_sum(chol, np.eye(1))},
-            embed_h=e0,
-        )
-        calls = []
-        factor = dilation._column_factor
-        monkeypatch.setattr(
-            dilation, "_column_factor", lambda x: calls.append(1) or factor(x)
+            blocks={ZERO: embed, top: _direct_sum(chol, np.eye(1))},
+            embed_h=embed,
         )
         rep = minimality_check(SimpleNamespace(dsp=dsp, sys=SimpleNamespace(dim_h=1)))
-        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (d, 2, d * d + 1)
+        gens = np.stack([embed @ dagger(embed), _direct_sum(np.eye(d) + 0.4 * path, np.eye(1))])
+        assert rep.span_dim == oracle_span_dim(gens, embed, d + 1)
+        return rep
+
+    def test_span_runs_until_it_stops_growing(self):
+        # Started at e_0 the commutant is C + C: each word reaches one more
+        # vertex of the path, so the span needs words of length 11 to fill
+        # C^12 and never leaves it.
+        rep = self._path_graph_check(np.eye(13, 1, dtype=complex))
+        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (12, 2, 12 * 12 + 1)
         assert not rep.span_full and not rep.passed
-        # One call for the start, then one per grid point and one for the
-        # SVD in every round.
-        assert len(calls) >= 1 + 3 * 11
 
-    def test_scalar_commutant_skips_the_span(self, corner_pair, monkeypatch):
-        # B(K) has no proper invariant subspace: with a scalar commutant the
-        # span is K without a single round of the loop.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(3, 3), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
-
-        def refuse(x):
-            raise AssertionError("the span loop ran")
-
-        monkeypatch.setattr(dilation, "_column_factor", refuse)
-        rep = minimality_check(res)
-        assert rep.span_dim == rep.dim_k and rep.span_full
-        assert rep.commutant_dim == 1 and rep.passed
+    def test_span_meets_both_summands(self):
+        # A two-dimensional fiber at the origin, e_0 and e_12: E E^* is
+        # e_0 e_0^* + e_12 e_12^*, in M_12 + C, so the commutant stays C + C
+        # while the span reaches both summands and is all of K.
+        rep = self._path_graph_check(np.eye(13, dtype=complex)[:, [0, 12]])
+        assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == (13, 2, 12 * 12 + 1)
+        assert rep.span_full and not rep.passed
 
 
 def oracle_span_dim(gens, start, rounds, tol=1e-8):
@@ -783,7 +777,7 @@ class TestCommutant:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Refused on the first solve's size, before any span is grown:
+        # Refused on the solve's size, before its operator is allocated:
         # about 8 KiB of blocks and frames are held.
         assert peak < 2**16
 
@@ -821,8 +815,8 @@ class TestCommutant:
             [res.alpha_corner(g, m) for g in grid_points(horizon) for m in _units_of(2)]
         )
         # The oracle stops once its span stops growing; dim K rounds always
-        # suffice. It grows the span whatever the commutant, so it also checks
-        # the span that a scalar commutant implies.
+        # suffice. It grows the span by Krylov rounds, independently of the
+        # commutant solve that minimality_check reads the span from.
         assert rep.span_dim == oracle_span_dim(gens, dsp.embed_h, dsp.dim_k)
         comm = oracle_commutant(gens)
         assert rep.commutant_dim == len(comm)

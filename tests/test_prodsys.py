@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -237,6 +238,19 @@ class TestVerifyRepresentation:
         sys_ = make_system(*corner_pair)
         with pytest.raises(CapExceededError):
             verify_representation(sys_, GridPoint(3, 3), cap=8)
+
+    def test_cap_bounds_the_whole_grid(self, zx_pair):
+        # Every fiber of a single-Kraus pair is one-dimensional, so only the
+        # total over the grid bounds the horizon: 2 * 101^2 = 20402.
+        sys_ = make_system(*zx_pair)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="dimension 20402 exceeds cap 4096"):
+            verify_representation(sys_, GridPoint(100, 100))
+        assert time.perf_counter() - start < 1.0
+        # The cap refuses exactly the totals above it: 2 * 3^2 at (2, 2).
+        assert verify_representation(sys_, GridPoint(2, 2), cap=18).passed
+        with pytest.raises(CapExceededError):
+            verify_representation(sys_, GridPoint(2, 2), cap=17)
 
     def test_fake_flip_breaks_homomorphism(self, corner_pair):
         theta, phi = corner_pair

@@ -363,9 +363,10 @@ def _traced_peak(run) -> int:
 
 
 def test_representation_memory_does_not_grow_with_the_grid():
-    # Conjugations on M_16: every fiber is one-dimensional, so the fiber cap
-    # never bounds the horizon, and each Theta^a Phi^b of the 256 matrix units
-    # is a 1 MiB stack. Holding one per grid point would take 25 MiB at (4,4).
+    # Conjugations on M_16: every fiber is one-dimensional, so the grid at
+    # (4,4) is only 400-dimensional, and each Theta^a Phi^b of the 256 matrix
+    # units is a 1 MiB stack. Holding one per grid point would take 25 MiB
+    # at (4,4).
     sys_ = make_system(*mix_pair(16, (1, 1), 2))
     small = _traced_peak(lambda: verify_representation(sys_, GridPoint(1, 1)))
     large = _traced_peak(lambda: verify_representation(sys_, GridPoint(4, 4)))
