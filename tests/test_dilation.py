@@ -567,14 +567,35 @@ class TestMinimality:
         assert rep.commutant_dim == 1
 
     def test_corner_pair_commutant_is_scalars(self, corner_pair):
-        for horizon in ((2, 2), (3, 3)):
-            sys_, _, dsp = pipeline(*corner_pair, GridPoint(*horizon), GridPoint(1, 1))
-            res = lift_operators(dsp, sys_)
-            rep = minimality_check(res)
-            assert rep.span_dim == rep.dim_k and rep.span_full
-            assert rep.commutant_dim == 1 and rep.passed
-            # R = B(K): the generated algebra is everything.
-            assert rep.closure_dim == rep.dim_k**2
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        rep = minimality_check(res)
+        assert rep.span_dim == rep.dim_k and rep.span_full
+        assert rep.commutant_dim == 1 and rep.passed
+        # R = B(K): the generated algebra is everything.
+        assert rep.closure_dim == rep.dim_k**2
+
+    def test_scalar_commutant_skips_the_span(self, corner_pair, monkeypatch):
+        # B(K) has no proper invariant subspace: with a scalar commutant the
+        # span is K, read off the one commutant solve with no SVD of a pile
+        # of words.
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(3, 3), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        solves = []
+        solve = dilation._block_commutant
+        monkeypatch.setattr(
+            dilation, "_block_commutant", lambda *args: solves.append(1) or solve(*args)
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rep = minimality_check(res)
+        assert len(solves) == 1
+        assert rep.span_dim == rep.dim_k and rep.span_full
+        assert rep.commutant_dim == 1 and rep.passed
+        assert rep.closure_dim == rep.dim_k**2
 
     def test_mix_pair_at_dim_k_128(self):
         # The d^2 x d^2 commutator operator would need 12.8 GiB here, and the
