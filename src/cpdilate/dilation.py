@@ -32,7 +32,8 @@ complement rather than being silently truncated into wrong values. For
 unital maps the generator spans increase along the grid, so the coisometry
 identity alpha_g(1) = 1 survives truncation globally; the isometry identity
 is the one that does not, and it is verified against the projector of the
-valid span (the identity on the infinite grid). On corner-embedded arguments
+valid span (the identity on the infinite grid), read off the generator
+columns by GEMMs (see verify_e_dilation). On corner-embedded arguments
 alpha_g reduces to an exact generator-block formula valid for every g up to
 the horizon, which is what the minimality checks use.
 """
@@ -71,8 +72,6 @@ from .prodsys import (
 PSD_FLOOR = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
-# span_projector keeps the eigenvalues of F F^* above this times the largest.
-SPAN_CUTOFF = 1e-10
 
 
 class OutOfHorizonError(ValueError):
@@ -101,17 +100,6 @@ def build_big_space(
     return BigSpace(horizon=horizon, points=points, dims=dims, total_dim=total), sys
 
 
-def _cover(blocks: dict, limit: GridPoint) -> Array:
-    """sum of f_g f_g^* over the blocks f_g of the grid points g <= limit,
-    one block at a time."""
-    d = blocks[ZERO].shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for g, f in blocks.items():
-        if g <= limit:
-            out += f @ dagger(f)
-    return hermitize(out)
-
-
 @dataclass(frozen=True)
 class DilationSpace:
     """The dilation space K = X(horizon) tensor H at a finite horizon."""
@@ -130,24 +118,16 @@ class DilationSpace:
     @cached_property
     def kept_min(self) -> float:
         """Smallest eigenvalue of sum_g T_g^* T_g."""
-        return float(np.linalg.eigvalsh(_cover(self.blocks, self.horizon))[0])
+        cover = np.zeros((self.dim_k, self.dim_k), dtype=complex)
+        for f in self.blocks.values():
+            cover += f @ dagger(f)
+        return float(np.linalg.eigvalsh(hermitize(cover))[0])
 
     @property
     def gram_min_eig(self) -> float:
         """Smallest eigenvalue of the generator Gram matrix: it has the
         spectrum of sum_g T_g^* T_g plus total_dim - dim_k zeros."""
         return 0.0 if self.big.total_dim > self.dim_k else self.kept_min
-
-    def span_projector(self, limit: GridPoint) -> Array:
-        """Orthogonal projector onto the span of generators at points <= limit.
-
-        Read off the generator columns themselves, not off the closed form
-        T_limit^* T_limit, so that a check against it stays independent of
-        the lift.
-        """
-        w, v = np.linalg.eigh(_cover(self.blocks, limit))
-        kept = v[:, w > SPAN_CUTOFF * w[-1]]
-        return kept @ dagger(kept)
 
 
 def _left_multiply(flips: _BlockFlips, g: GridPoint, rest: GridPoint, m: Array) -> Array:
@@ -319,7 +299,12 @@ def verify_e_dilation(
     is the one that genuinely needs truncation bookkeeping; it is stated
     against the projector of the span where the finite-horizon operator is
     exact (generators below horizon - g), which on the infinite grid is the
-    identity.
+    identity. With B = T_{horizon - g}^*, the generators at horizon - g, the
+    residual also takes ||B^* B - 1|| and ||f_s - B B^* f_s|| for every other
+    block f_s below (implied by the first when B is square). Once both vanish
+    B B^* is that projector, and V_x^* V_y, y >= x, is compared with
+    delta_xy B B^*: the lift is checked against the generator columns, not
+    against the T^* T it was built from.
 
     Every embedded argument has rank at most n. With the thin factor
     A_r = [V_g(e_w) embed_h e_r]_w (dim_k x fiber_dim(g)), alpha_g applied
@@ -328,7 +313,10 @@ def verify_e_dilation(
     phi; multiplicativity A_i (A_j^* A_k - delta_jk I) A_l^*; semigroup
     B_r B_c^* - A'_r A'_c^* with B = V_g A of alpha_h and A' of alpha_{g+h};
     alpha_g(p) = sum_r A_r A_r^*. Each norm is still taken of the explicit
-    dim_k x dim_k difference. Coisometry and isometry use the full V_g.
+    dim_k x dim_k difference. Coisometry and isometry use the full V_g. The
+    p-increase gap A A^* - E E^* = M S M^*, M = [A E], S = diag(1, -1), has
+    the nonzero spectrum of R S R^* for the R factor of M, which decides
+    min(0, its smallest eigenvalue) as an (n fd + n)-square problem.
     """
     dsp, sys = res.dsp, res.sys
     if not grid_limit <= dsp.margin:
@@ -366,13 +354,23 @@ def verify_e_dilation(
 
         wide = _hstack(v)
         coiso = max(coiso, fro(wide @ dagger(wide) - eye_k))
-        p_g = dsp.span_projector(dsp.horizon - g)
+        limit = dsp.horizon - g
+        gens = dsp.blocks[limit]
+        gens_h = dagger(gens)
+        iso = max(iso, fro(gens_h @ gens - np.eye(gens.shape[1])))
+        if gens.shape[1] < k:
+            for s, f in dsp.blocks.items():
+                if f is not gens and s <= limit:
+                    iso = max(iso, fro(f - gens @ (gens_h @ f)))
+        p_g = gens @ gens_h
         for x in range(fd):
-            # Block row x of [V]^*[V]: V_x^* V_y, which must be delta_xy P_g.
-            row = dagger(v[x]) @ wide
-            row[:, x * k:(x + 1) * k] -= p_g
+            # Block row x of [V]^*[V] from block x on: V_x^* V_y = delta_xy P_g.
+            row = dagger(v[x]) @ wide[:, x * k:]
+            row[:, :k] -= p_g
             iso = max(iso, max_block_fro(row, 1, k))
-        gap = hermitize(wide_a @ dagger(wide_a) - res.p)
+        r = np.linalg.qr(np.hstack((wide_a, e)), mode="r")
+        a_r, e_r = r[:, :n * fd], r[:, n * fd:]
+        gap = hermitize(a_r @ dagger(a_r) - e_r @ dagger(e_r))
         p_min = min(p_min, float(np.linalg.eigvalsh(gap)[0]))
 
     semi = 0.0

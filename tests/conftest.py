@@ -88,6 +88,16 @@ def oracle_product_unitary(sys, g1, g2) -> np.ndarray:
         arr = work.reshape(dims + [batch])
 
 
+def oracle_span_projector(dsp, limit) -> np.ndarray:
+    """Orthogonal projector onto the span of the generators at grid points
+    <= limit: the eigenvectors of sum_s f_s f_s^* over their blocks f_s, with
+    eigenvalues above 1e-10 times the largest."""
+    cover = sum(f @ f.conj().T for g, f in dsp.blocks.items() if g <= limit)
+    w, v = np.linalg.eigh(0.5 * (cover + cover.conj().T))
+    kept = v[:, w > 1e-10 * w[-1]]
+    return kept @ kept.conj().T
+
+
 def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:
     """Frobenius agreement to rel relative plus abs_ absolute."""
     diff = np.linalg.norm(np.asarray(got) - np.asarray(want))

@@ -39,6 +39,7 @@ from conftest import (
     corner_collapse_channel,
     mix_of_unitaries,
     oracle_product_unitary,
+    oracle_span_projector,
     pauli_mix_pair,
     random_unitary,
 )
@@ -528,7 +529,7 @@ class TestVerification:
         alpha_id = res.alpha(g, np.eye(dsp.dim_k, dtype=complex))
         assert fro(alpha_id - np.eye(dsp.dim_k)) < 1e-10
         v = res.v_blocks_for(g)[0]
-        p_g = dsp.span_projector(dsp.horizon - g)
+        p_g = oracle_span_projector(dsp, dsp.horizon - g)
         assert fro(dagger(v) @ v - p_g) < 1e-10
         assert fro(dagger(v) @ v - np.eye(dsp.dim_k)) > 0.5
         assert fro(p_g @ p_g - p_g) < 1e-10

@@ -2,9 +2,10 @@
 
 `verify_e_dilation` and `verify_representation` form every residual from thin
 factors and batched products. The oracles below are the plain loops over
-matrix units, fiber words and grid splits, with alpha_g summed word by word
-and the span projector summed block by block, so the fast path is never
-checked against itself.
+matrix units, fiber words and grid splits, with alpha_g summed word by word,
+the isometry stated against an eigendecomposition of the generator cover
+(`conftest.oracle_span_projector`) and the p-increase read off the full
+dim_k x dim_k gap, so the fast path is never checked against itself.
 """
 
 import dataclasses
@@ -39,6 +40,8 @@ from conftest import (
     CommutingFamily,
     mix_of_unitaries,
     oracle_product_unitary,
+    oracle_span_projector,
+    pauli_mix_pair,
     random_unitary,
 )
 
@@ -72,13 +75,6 @@ def _loop_alpha(res, g, b):
     return sum(m @ b @ dagger(m) for m in res.v_blocks_for(g))
 
 
-def _loop_span_projector(dsp, limit):
-    cover = sum(f @ dagger(f) for g, f in dsp.blocks.items() if g <= limit)
-    w, v = np.linalg.eigh(hermitize(cover))
-    kept = v[:, w > 1e-10 * w[-1]]
-    return kept @ dagger(kept)
-
-
 def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
     """The six dilation residuals, each a max over matrix units, words and points."""
     dsp = res.dsp
@@ -100,7 +96,7 @@ def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
                 rhs = _loop_alpha(res, g, res.embed(x)) @ _loop_alpha(res, g, res.embed(y))
                 worst("multiplicativity", fro(lhs - rhs))
         worst("coisometry", fro(_loop_alpha(res, g, eye_k) - eye_k))
-        p_g = _loop_span_projector(dsp, dsp.horizon - g)
+        p_g = oracle_span_projector(dsp, dsp.horizon - g)
         mats = res.v_blocks_for(g)
         for ix, vx in enumerate(mats):
             for iy, vy in enumerate(mats):
@@ -251,6 +247,86 @@ def test_isometry_sees_overlapping_words():
     want = oracle_verify_e_dilation(broken, theta, phi, g)["isometry"]
     assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
     assert abs(got - want) <= 1e-12
+
+
+def test_isometry_sees_a_generator_outside_the_top_block():
+    # A lower generator moved off the range of B = blocks[(1,1)], the
+    # generators at horizon - g for g = (1,1): the lift never reads it, so
+    # only the generator span shows the defect.
+    theta, phi = mix_pair(2, (2, 2), 7)
+    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    dsp = res.dsp
+    gens = dsp.blocks[GridPoint(1, 1)]
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=dsp.dim_k) + 1j * rng.normal(size=dsp.dim_k)
+    z -= gens @ (dagger(gens) @ z)
+    low = dsp.blocks[GridPoint(1, 0)].copy()
+    low[:, 0] = z / np.linalg.norm(z)
+    blocks = {**dsp.blocks, GridPoint(1, 0): low}
+    broken = dataclasses.replace(res, dsp=dataclasses.replace(dsp, blocks=blocks))
+    got = verify_e_dilation(broken, theta, phi, res.dsp.margin).isometry_residual
+    want = oracle_verify_e_dilation(broken, theta, phi, res.dsp.margin)["isometry"]
+    assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
+
+
+@pytest.mark.parametrize("limit", [(1, 1), (2, 2)])
+def test_isometry_sees_a_scaled_top_block(limit):
+    # Part of B = blocks[limit] scaled before the lift: V_g, g = (2,2) - limit,
+    # is built from the scaled B, so V_x^* V_y = delta_xy B B^* still holds.
+    # At (1,1) B B^* no longer fixes the lower generators; at (2,2) B is
+    # square, there are none to test, and only B^* B != 1 shows the defect.
+    theta, phi = mix_pair(2, (2, 2), 7)
+    sys_ = make_system(theta, phi)
+    big, sys_ = build_big_space(sys_, GridPoint(2, 2))
+    dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
+    gens = dsp.blocks[GridPoint(*limit)].copy()
+    gens[:, :2] *= 0.9
+    blocks = {**dsp.blocks, GridPoint(*limit): gens}
+    broken = lift_operators(dataclasses.replace(dsp, blocks=blocks), sys_)
+    got = verify_e_dilation(broken, theta, phi, dsp.margin).isometry_residual
+    want = oracle_verify_e_dilation(broken, theta, phi, dsp.margin)["isometry"]
+    assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
+
+
+@pytest.mark.parametrize("shrink", [1.0, 0.9])
+@pytest.mark.parametrize("pair, horizon", [("wide_r", (1, 1)), ("pauli", (2, 2))])
+def test_oracle_agreement(pair, horizon, shrink):
+    # wide_r: M_2 mix/mix at (1,1), dim K = 8 below n fd + n = 10 at g = (1,1),
+    # so the p-increase factor R is wide. pauli: a complex flip.
+    if pair == "wide_r":
+        theta, phi = mix_pair(2, (2, 2), 7)
+    else:
+        theta, phi = pauli_mix_pair(0.3, 0.6, np.random.default_rng(0))
+    horizon = GridPoint(*horizon)
+    _, res = lifted(theta, phi, horizon, GridPoint(1, 1))
+    if pair == "wide_r":
+        assert res.dsp.dim_k < 2 * res.sys.fiber_dim(GridPoint(1, 1)) + 2
+    res = dataclasses.replace(res, v_blocks={g: shrink * v for g, v in res.v_blocks.items()})
+    got = dilation_residuals(verify_e_dilation(res, theta, phi, GridPoint(1, 1)))
+    assert_agree(got, oracle_verify_e_dilation(res, theta, phi, GridPoint(1, 1)))
+    if shrink < 1.0:
+        assert got["p_increase_min_eig"] < -PSD_FLOOR
+        assert got["isometry"] > DEFAULT_VERIFY_TOL
+
+
+def test_verify_decomposes_only_thin_problems(monkeypatch):
+    # M_2 mix/mix at (2,2): dim K = 32, while [A E] at g = (1,1) has
+    # n fd + n = 10 columns; no eigendecomposition may be larger.
+    theta, phi = mix_pair(2, (2, 2), 7)
+    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    bound = 2 * res.sys.fiber_dim(GridPoint(1, 1)) + 2
+    assert res.dsp.dim_k > bound
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+
+        def guarded(a, *args, _honest=getattr(np.linalg, name), **kwargs):
+            sizes.append(a.shape[-1])
+            assert a.shape[-1] <= bound, a.shape
+            return _honest(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    assert verify_e_dilation(res, theta, phi, GridPoint(1, 1)).passed
+    assert sizes
 
 
 @pytest.mark.parametrize("defect", ["scaled", "perturbed"])
