@@ -10,6 +10,10 @@ Conventions:
   positive, and it does not depend on the order of the Kraus operators. The
   superoperator is an entry permutation (reshuffle) of the Choi matrix, so
   both are computed from one GEMM and have equal Frobenius distances.
+* Two Kraus families are compared in R-coordinates: one thin QR of
+  [Ma, Mb - Ma] gives Ma = Q Ra and Mb = Q Rb with one isometry Q, and the
+  Choi distance and the equivalence unitary are computed from Ra and Rb,
+  (2L) x L matrices, without forming an n^2 x n^2 Choi matrix.
 * Unital means sum_i T_i T_i^* = I; contractive means sum_i T_i T_i^* <= I.
 
 Everything here is a pure function over immutable inputs; identical inputs
@@ -147,10 +151,26 @@ def kraus_to_choi(k: KrausFamily) -> Array:
     return m @ dagger(m)
 
 
-def _choi_distance(ma: Array, mb: Array) -> float:
-    """|| Ma Ma^* - Mb Mb^* ||_F for Kraus matrices; taken in place, so equal inputs give 0.0."""
-    diff = ma @ dagger(ma)
-    diff -= mb @ dagger(mb)
+def _r_coordinates(ma: Array, mb: Array) -> tuple[Array, Array]:
+    """Ra, Rb with Ma = Q Ra and Mb = Q Rb for one isometry Q, from one thin QR
+    of [Ma, Mb - Ma] with R = [Ra, Rb - Ra].
+
+    Q preserves inner products, so Choi distances, singular values and right
+    singular vectors of Ma and Mb are those of Ra and Rb: (2L) x L matrices, or
+    n^2 x L when n^2 <= 2L. For equal inputs the block Mb - Ma is exactly zero,
+    Householder reflectors keep it so, and Rb == Ra bit for bit.
+    """
+    length = ma.shape[1]
+    r = np.linalg.qr(np.concatenate((ma, mb - ma), axis=1), mode="r")
+    ra = r[:, :length]
+    return ra, ra + r[:, length:]
+
+
+def _choi_distance(ra: Array, rb: Array) -> float:
+    """|| Ra Ra^* - Rb Rb^* ||_F, the Choi distance of two Kraus matrices in the
+    R-coordinates of _r_coordinates; taken in place, so equal inputs give 0.0."""
+    diff = ra @ dagger(ra)
+    diff -= rb @ dagger(rb)
     return fro(diff)
 
 
@@ -241,34 +261,36 @@ def kraus_equivalence_unitary(
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
     length = max(len(a), len(b))
-    ma, mb = (_kraus_matrix(pad(k, length).ops) for k in (a, b))
-    deviation = _choi_distance(ma, mb)
-    # ||Ma Ma^*||_F = ||Ma^* Ma||_F, an L x L product.
-    if deviation > tol * max(1.0, fro(dagger(ma) @ ma)):
+    ra, rb = _r_coordinates(*(_kraus_matrix(pad(k, length).ops) for k in (a, b)))
+    deviation = _choi_distance(ra, rb)
+    # ||Ma Ma^*||_F = ||Ra^* Ra||_F, an L x L product.
+    if deviation > tol * max(1.0, fro(dagger(ra) @ ra)):
         raise NotSameChannelError(deviation)
-    return _equivalence_unitary(ma, mb, tol)
+    return _equivalence_unitary(ra, rb, tol)
 
 
-def _equivalence_unitary(ma: Array, mb: Array, tol: float) -> Array:
-    """Unitary u with Ma = Mb u^T for two n^2 x L Kraus matrices of one map.
+def _equivalence_unitary(ra: Array, rb: Array, tol: float) -> Array:
+    """Unitary u with Ma = Mb u^T for two Kraus matrices of one map, from their
+    R-coordinates (_r_coordinates). Ma = Mb u^T holds exactly when Ra = Rb u^T,
+    so the SVDs act on (2L) x L matrices, or n^2 x L when n^2 <= 2L.
 
     The relation is consistent exactly when both present one map. On the
     support, u^T is the orthogonal-Procrustes solution, the polar factor of
-    Mb_r^* Ma (Mb_r the rank-r truncation of Mb): no unitary gives a smaller
+    Rb_r^* Ra (Rb_r the rank-r truncation of Rb): no unitary gives a smaller
     residual, and it is unitary to machine precision. The kernel parts are
     joined by deterministic orthonormal completions. Singular values at or
     below sqrt(tol) (the Choi-eigenvalue cutoff) count as kernel.
 
     The least-squares solution, completed the same way, is unitary only to
-    roundoff times the condition number of Mb_r; it serves as the check
+    roundoff times the condition number of Rb_r; it serves as the check
     that the completion succeeded.
     """
-    length = ma.shape[1]
-    wa, sa, vah = np.linalg.svd(ma, full_matrices=False)
-    wb, sb, vbh = np.linalg.svd(mb, full_matrices=False)
+    length = ra.shape[1]
+    _, sa, vah = np.linalg.svd(ra, full_matrices=False)
+    wb, sb, vbh = np.linalg.svd(rb, full_matrices=False)
     cut = np.sqrt(tol) * max(1.0, float(sa[0]))
     rank = int(np.sum(sb > cut))
-    coef = dagger(wb[:, :rank]) @ ma
+    coef = dagger(wb[:, :rank]) @ ra
     u = (dagger(vbh[:rank]) @ (coef / sb[:rank, None])).T
     cross = (dagger(vbh[:rank]) @ (coef * sb[:rank, None])).T
     if rank < length:

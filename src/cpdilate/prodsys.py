@@ -21,9 +21,10 @@ Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
 0. `_BlockFlips` builds each Sigma(b, a) once, with one product from the unit
 flip: Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from
 Sigma(b, a - 1) and Sigma(b, 1). Every product map, `multiply` included, is
-applied through `_BlockFlips.apply`, Sigma on the middle axis of a reshape,
-the only place that knows the layout; and `verify_representation` checks the
-homomorphism identity once per g1, batched over every g2.
+applied as Sigma on the middle axis of a reshape: through `_BlockFlips.apply`,
+except in `verify_representation`, which checks the homomorphism identity once
+per g1, batched over every g2, and applies Sigma^T inline on the same reshape
+so that a split whose Sigma is the identity costs no GEMM.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
@@ -311,8 +312,8 @@ def verify_representation(
     n = sys.dim_h
     _big_space_dim(sys, horizon, cap)
     words = _word_operators(sys, horizon)
-    # Entry [i, w, j] of reps[g] is entry (i, j) of the operator of fiber word w.
-    reps = {g: np.ascontiguousarray(w.transpose(1, 0, 2)) for g, w in words.items()}
+    # Entry [i, w, j] of reps[a, b] is entry (i, j) of the operator of fiber word w.
+    reps = {g.key(): np.ascontiguousarray(w.transpose(1, 0, 2)) for g, w in words.items()}
 
     theta, phi = sys.theta(), sys.phi()
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
@@ -320,7 +321,7 @@ def verify_representation(
     ident = 0.0
     coiso = 0.0
     for g, power in _kraus_grid(theta, phi, horizon, _matrix_units(n)):
-        rep = reps[g]
+        rep = reps[g.key()]
         # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
         diff = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
         diff -= power
@@ -329,24 +330,32 @@ def verify_representation(
             flat = rep.reshape(n, -1)
             coiso = max(coiso, fro(flat @ dagger(flat) - np.eye(n)))
 
+    # Int keys and inline product maps: Sigma(b1, a2) is looked up once per a2,
+    # and a split costs a GEMM only where it is not the identity.
     flips = _BlockFlips(sys)
+    top_a, top_b = horizon.key()
     hom = 0.0
     for g1 in grid_points(horizon):
-        fd1 = sys.fiber_dim(g1)
-        splits = grid_points(horizon - g1)
+        a1, b1 = g1.key()
+        fd1, rows = sys.fiber_dim(g1), n * sys.m**a1
+        splits = [(a2, b2) for a2 in range(top_a - a1 + 1) for b2 in range(top_b - b1 + 1)]
         # Both sides for every g2 at once, as (fd1, n, sum_g2 fd2 n) stacks:
         # block a of the n x (fd1 fd2 n) matrices of each split, side by side.
         # rep_{g1} (I tensor rep_{g2}): column (a, b, j) is W_a rep_{g2}[:, (b, j)].
         rhs = words[g1] @ np.concatenate([reps[g2].reshape(n, -1) for g2 in splits], axis=1)
         lhs = []
-        for g2 in splits:
+        for a2 in range(top_a - a1 + 1):
             # rep_{g1+g2} (U tensor I): U^T on the word axis of rep_{g1+g2}.
-            rep = flips.apply(g1, g2, reps[g1 + g2], "T")
-            lhs.append(rep.reshape(n, fd1, -1).transpose(1, 0, 2))
-        diff = np.concatenate(lhs, axis=2) - rhs
+            sigma = flips.get(b1, a2)
+            for b2 in range(top_b - b1 + 1):
+                rep = reps[a1 + a2, b1 + b2]
+                if sigma is not None:
+                    rep = sigma.T @ rep.reshape(rows, len(sigma), -1)
+                lhs.append(rep.reshape(n, fd1, -1))
+        diff = np.concatenate(lhs, axis=2).transpose(1, 0, 2) - rhs
         sq = (diff.real**2 + diff.imag**2).sum(axis=(0, 1))
         # Each split's squared Frobenius norm is the sum over its column segment.
-        starts = np.cumsum([0] + [sys.fiber_dim(g2) * n for g2 in splits[:-1]])
+        starts = np.cumsum([0] + [piece.shape[2] for piece in lhs[:-1]])
         hom = max(hom, float(np.sqrt(np.add.reduceat(sq, starts).max())))
 
     return RepresentationReport(

@@ -11,9 +11,14 @@ is found here by relating the two composite Kraus families of the (equal) maps
 Theta∘Phi and Phi∘Theta through their common Choi eigenbasis.
 
 The products T_i S_j and S_q T_p are stacked once, one batched matmul each.
-Commutation is the Frobenius distance of their Choi matrices (the
-superoperator distance), u is solved from the same stacks, and the
-intertwining residual forms every row's sum over (p, q) in one GEMM.
+With L = mn, their n^2 x L Kraus matrices Ma and Mb enter one thin QR of
+[Ma, Mb - Ma], which writes Ma = Q Ra and Mb = Q Rb for one isometry Q (see
+chan._r_coordinates). Commutation is the Frobenius distance of the Choi
+matrices (the superoperator distance), || Ra Ra^* - Rb Rb^* ||_F, with no
+n^2 x n^2 matrix formed: O(n^2 L^2) work instead of O(n^4 L). u is solved
+from SVDs of Ra and Rb, (2L) x L matrices instead of n^2 x L ones. The
+intertwining residual is taken on the original stacks, every row's sum over
+(p, q) in one GEMM.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .chan import (
     _choi_distance,
     _equivalence_unitary,
     _kraus_matrix,
+    _r_coordinates,
 )
 from .linalg import Array, dagger, fro
 
@@ -85,20 +91,24 @@ def _products(theta: KrausFamily, phi: KrausFamily) -> tuple[Array, Array]:
     return (t @ s).reshape(-1, d, d), (s @ t).reshape(-1, d, d)
 
 
-def _commutation_residual(left: Array, right: Array, m: int) -> float:
-    """Choi distance of Theta∘Phi and Phi∘Theta from the two product stacks.
+def _commutation_coordinates(left: Array, right: Array, m: int) -> tuple[float, Array, Array]:
+    """Choi distance of Theta∘Phi and Phi∘Theta, with the R-coordinates Ra, Rb
+    of their Kraus matrices from one thin QR (chan._r_coordinates).
 
     The S_q T_p stack is compared in compose's (q, p) order, so a map against
-    itself gives two identical Kraus matrices and exactly 0.0.
+    itself gives two identical Kraus matrices and exactly 0.0. Rb is returned
+    with its columns in the certificate's (p, q) order.
     """
     d = left.shape[-1]
     swapped = right.reshape(m, -1, d, d).swapaxes(0, 1).reshape(-1, d, d)
-    return _choi_distance(_kraus_matrix(left), _kraus_matrix(swapped))
+    ra, rb = _r_coordinates(_kraus_matrix(left), _kraus_matrix(swapped))
+    rows = len(rb)
+    return _choi_distance(ra, rb), ra, rb.reshape(rows, -1, m).swapaxes(1, 2).reshape(rows, -1)
 
 
 def check_commute(theta: KrausFamily, phi: KrausFamily, tol: float = DEFAULT_TOL) -> CommutationReport:
     """Choi distance of Theta∘Phi and Phi∘Theta, equal to their superoperator distance."""
-    residual = _commutation_residual(*_products(theta, phi), len(theta))
+    residual, _, _ = _commutation_coordinates(*_products(theta, phi), len(theta))
     return CommutationReport(commute=residual <= tol, residual=residual, tol=tol)
 
 
@@ -131,12 +141,12 @@ def strong_commutation_certificate(
     """
     m, n = len(theta), len(phi)
     left, right = _products(theta, phi)
-    residual = _commutation_residual(left, right, m)
+    residual, ra, rb = _commutation_coordinates(left, right, m)
     if not residual <= tol:
         raise NonCommutingError(f"maps do not commute (superoperator residual {residual:.3e})")
     # The absolute commutation bound implies kraus_equivalence_unitary's
     # same-map check (equal deviation, scale >= 1), so the core is called directly.
-    u = _equivalence_unitary(_kraus_matrix(left), _kraus_matrix(right), tol)
+    u = _equivalence_unitary(ra, rb, tol)
     unit = fro(dagger(u) @ u - np.eye(m * n))
     intw = _max_row_residual(left, right, u)
     if max(unit, intw) > max(100 * tol, CERTIFICATE_FLOOR):

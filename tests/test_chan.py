@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdilate import chan
 from cpdilate.chan import (
     DimensionMismatchError,
     KrausFamily,
@@ -241,6 +242,30 @@ class TestEquivalenceUnitary:
         u = kraus_equivalence_unitary(k, padded)
         assert u.shape == (3, 3)
         assert fro(dagger(u) @ u - np.eye(3)) < 1e-8
+
+    # (dim, length): R is thin when dim^2 > 2 length and wide otherwise; a
+    # mix of more commuting unitaries than dim needs the kernel completion.
+    @pytest.mark.parametrize(
+        "dim, length, deficient",
+        [(4, 3, False), (4, 6, True), (2, 2, False), (2, 3, True)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_r_shapes_reproduce_kraus_matrix(self, dim, length, deficient, seed):
+        rng = np.random.default_rng(seed)
+        if deficient:
+            a = mix_of_unitaries(CommutingFamily(dim, rng), length)
+        else:
+            a = random_contractive(dim, length, rng)
+        w = random_unitary(length, rng)
+        b = KrausFamily(dim, tuple(np.tensordot(w.T, np.stack(a.ops), axes=1)))
+        ma, mb = chan._kraus_matrix(a.ops), chan._kraus_matrix(b.ops)
+        ra, _ = chan._r_coordinates(ma, mb)
+        assert ra.shape == (min(dim * dim, 2 * length), length)
+        assert (np.linalg.matrix_rank(ma) < length) == deficient
+        u = kraus_equivalence_unitary(a, b)
+        # Recomputed in the original n^2 x L coordinates.
+        assert fro(ma - mb @ u.T) <= 1e-12
+        assert fro(dagger(u) @ u - np.eye(length)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,50 @@ class TestBatchedKernelsMatchOracles:
         elapsed = time.perf_counter() - start
         assert chk.passed and cert.u.shape == (64, 64)
         assert elapsed < 1.0, f"certificate + verification took {elapsed:.2f} s"
+
+
+class TestRCoordinates:
+    # (dim, m, n): R is thin when dim^2 > 2mn and wide when dim^2 <= 2mn. Mixes
+    # of commuting unitaries span at most dim Kraus directions, so mn > dim
+    # reaches the kernel completion of the certificate.
+    SHAPES = {
+        "thin-deficient": (4, 2, 3),
+        "thin-full-rank": (4, 1, 2),
+        "wide-deficient": (2, 3, 3),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_shapes_match_oracles(self, shape, seed):
+        dim, m, n = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        family = CommutingFamily(dim, rng)
+        theta, phi = mix_of_unitaries(family, m), mix_of_unitaries(family, n)
+        left, right = strongcomm._products(theta, phi)
+        _, ra, _ = strongcomm._commutation_coordinates(left, right, m)
+        assert ra.shape == (min(dim * dim, 2 * m * n), m * n)
+        rank = np.linalg.matrix_rank(left.reshape(m * n, -1))
+        assert (rank < m * n) == shape.endswith("deficient")
+        # The commuting pair and a generic, non-commuting one of the same shape.
+        for a, b in ((theta, phi), (random_contractive(dim, m, rng), random_contractive(dim, n, rng))):
+            assert close(check_commute(a, b).residual, oracle_check_commute(a, b))
+        cert = strong_commutation_certificate(theta, phi)
+        assert cert.unitarity_residual <= 1e-12
+        assert cert.intertwining_residual <= 1e-12
+        assert oracle_intertwining_residual(theta, phi, cert.u) <= 1e-12
+
+    def test_wide_pair_forms_no_choi_matrix(self):
+        # One 1024 x 1024 complex Choi matrix is 16 MiB.
+        theta, phi = wide_mix_pair(32, 8, seed=3)
+        for f in (check_commute, strong_commutation_certificate):
+            f(theta, phi)
+            tracemalloc.start()
+            try:
+                f(theta, phi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{f.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestCertificate:
