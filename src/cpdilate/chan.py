@@ -32,7 +32,6 @@ from .linalg import (
     Array,
     complete_orthonormal,
     dagger,
-    eigh_desc,
     fro,
     hermitize,
     phase_fix,
@@ -189,7 +188,8 @@ def choi_to_kraus(choi: Array, tol: float = DEFAULT_TOL) -> KrausFamily:
     herm_dev = fro(choi - dagger(choi))
     if herm_dev > tol * max(1.0, fro(choi)):
         raise ValueError(f"Choi matrix is not Hermitian (deviation {herm_dev:.3e})")
-    w, v = eigh_desc(choi)
+    w, v = np.linalg.eigh(hermitize(choi))
+    w, v = w[::-1], v[:, ::-1]
     if w[-1] < -tol:
         raise NotCompletelyPositiveError(float(w[-1]))
     ops = [
@@ -207,17 +207,9 @@ def kraus_to_super(k: KrausFamily) -> Array:
 
     Computed as the reshuffle of the Choi matrix, which permutes its entries.
     """
-    return choi_to_super(kraus_to_choi(k))
-
-
-def _reshuffle(m: Array) -> Array:
-    n2 = m.shape[0]
-    n = int(round(np.sqrt(n2)))
-    return np.transpose(m.reshape(n, n, n, n), (3, 1, 2, 0)).reshape(n2, n2)
-
-
-def choi_to_super(choi: Array) -> Array:
-    return _reshuffle(np.asarray(choi, dtype=complex))
+    n = k.dim
+    choi = kraus_to_choi(k).reshape(n, n, n, n)
+    return choi.transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 def apply_kraus(k: KrausFamily, a: Array) -> Array:

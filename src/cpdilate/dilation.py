@@ -22,8 +22,8 @@ columns span K, and the Gram matrix of all of them is the generator Gram
 matrix of the join formula. V_g(e_w) = (L_w tensor I) T_{horizon - g} with
 L_w the left multiplication by the fiber word e_w, and alpha_g(b) sums
 V_g(e_w) b V_g(e_w)^* over words. Both are one left multiplication by the
-words of a fiber, `_left_multiply`. No Gram matrix is formed and no unitary
-extension is ever constructed.
+words of a fiber, `prodsys._left_multiply`. No Gram matrix is formed and no
+unitary extension is ever constructed.
 
 Truncation bookkeeping: V_g and alpha_g are exposed only for g <= margin.
 V_g acts exactly on the span of generators at grid points <= horizon - g,
@@ -60,15 +60,15 @@ from .prodsys import (
     ZERO,
     GridPoint,
     TwistedProductSystem,
-    _BlockFlips,
     _big_space_dim,
     _kraus_grid,
+    _left_multiply,
     _matrix_units,
     _word_operators,
     grid_points,
 )
 
-# Floor below zero allowed for gram_min_eig and p_increase_min_eig.
+# Floor below zero allowed for p_increase_min_eig.
 PSD_FLOOR = 1e-10
 DEFAULT_BIG_CAP = 8192
 _UNITAL_GUARD = 1e-8
@@ -126,19 +126,9 @@ class DilationSpace:
     @property
     def gram_min_eig(self) -> float:
         """Smallest eigenvalue of the generator Gram matrix: it has the
-        spectrum of sum_g T_g^* T_g plus total_dim - dim_k zeros."""
-        return 0.0 if self.big.total_dim > self.dim_k else self.kept_min
-
-
-def _left_multiply(flips: _BlockFlips, g: GridPoint, rest: GridPoint, m: Array) -> Array:
-    """(U_{g,rest} tensor I_n)(I_{X(g)} tensor m) for a matrix m with rows
-    (X(rest), H): column block w is the left multiplication by the fiber word
-    e_w of X(g), X(rest) tensor H -> X(g + rest) tensor H, applied to m."""
-    fd = flips.sys.fiber_dim(g)
-    x = np.zeros((fd, m.shape[0], fd, m.shape[1]), dtype=complex)
-    x[np.arange(fd), :, np.arange(fd)] = m
-    out = flips.apply(g, rest, x.reshape(1, flips.sys.fiber_dim(g + rest), -1))
-    return out.reshape(fd * m.shape[0], -1)
+        spectrum of sum_g T_g^* T_g plus total_dim - dim_k zeros. Without
+        zeros the horizon is (0, 0), whose only block is exactly I_n."""
+        return 0.0 if self.big.total_dim > self.dim_k else 1.0
 
 
 def build_dilation_space(
@@ -160,14 +150,13 @@ def build_dilation_space(
         if not classify(fam, _UNITAL_GUARD).is_unital:
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
-    flips = _BlockFlips(sys)
     words = _word_operators(sys, big.horizon)
     n, top = sys.dim_h, big.horizon
     blocks = {}
     for s in big.points:
         # rep_r^* has rows (X(r), H): block w is W_w^*.
         rep_h = words[top - s].conj().transpose(0, 2, 1).reshape(-1, n)
-        blocks[s] = _left_multiply(flips, s, top - s, rep_h)
+        blocks[s] = _left_multiply(sys, s, top - s, rep_h)
     return DilationSpace(
         big=big, margin=margin, blocks=blocks, dim_k=big.dims[top], embed_h=blocks[ZERO]
     )
@@ -180,7 +169,6 @@ class EDilationResult:
     dsp: DilationSpace
     sys: TwistedProductSystem
     v_blocks: dict                      # g -> (fiber_dim(g), dim_k, dim_k) stack, one V_g(e_w) per word
-    p: Array                            # embed_h embed_h^*, the projection onto H
 
     def v_blocks_for(self, g: GridPoint) -> Array:
         if g not in self.v_blocks:
@@ -211,11 +199,6 @@ class EDilationResult:
         fd = self.sys.fiber_dim(g)
         return f_g @ np.kron(np.eye(fd, dtype=complex), np.asarray(a, dtype=complex)) @ dagger(f_g)
 
-    def compress(self, b: Array) -> Array:
-        """embed_h^* b embed_h, the corner of an operator on K."""
-        e = self.dsp.embed_h
-        return dagger(e) @ b @ e
-
     def embed(self, a: Array) -> Array:
         e = self.dsp.embed_h
         return e @ np.asarray(a, dtype=complex) @ dagger(e)
@@ -236,18 +219,15 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
     range of T_{horizon - g}^*, the span of those generators.
     """
     k, top = dsp.dim_k, dsp.horizon
-    flips = _BlockFlips(sys)
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
-        wide = _left_multiply(flips, g, top - g, dagger(dsp.blocks[top - g]))
+        wide = _left_multiply(sys, g, top - g, dagger(dsp.blocks[top - g]))
         v_blocks[g] = np.ascontiguousarray(wide.reshape(k, -1, k).transpose(1, 0, 2))
-    p = dsp.embed_h @ dagger(dsp.embed_h)
-    return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks, p=p)
+    return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks)
 
 
 @dataclass(frozen=True)
 class DilationReport:
-    grid_limit: GridPoint
     dim_k: int
     gram_min_eig: float
     isometry_residual: float
@@ -267,11 +247,7 @@ class DilationReport:
             self.semigroup_residual,
             self.multiplicativity_residual,
         )
-        return (
-            worst <= self.tol
-            and self.gram_min_eig >= -PSD_FLOOR
-            and self.p_increase_min_eig >= -PSD_FLOOR
-        )
+        return worst <= self.tol and self.p_increase_min_eig >= -PSD_FLOOR
 
 
 def _outer_units(a: Array) -> Array:
@@ -337,7 +313,7 @@ def verify_e_dilation(
     for g, power in _kraus_grid(theta, phi, grid_limit, _matrix_units(n)):
         v, a = res.v_blocks_for(g), thin[g]
         fd = a.shape[2]
-        # compress(alpha_g(embed e_rc)) at r * n + c
+        # embed_h^* alpha_g(embed e_rc) embed_h at r * n + c
         corner = _outer_units(dagger(e) @ a).reshape(n, n, n, n).transpose(0, 2, 1, 3)
         diff = power - corner.reshape(n * n, n, n)
         dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
@@ -385,7 +361,6 @@ def verify_e_dilation(
             semi = max(semi, max_block_fro(diff, n, k))
 
     return DilationReport(
-        grid_limit=grid_limit,
         dim_k=dsp.dim_k,
         gram_min_eig=dsp.gram_min_eig,
         isometry_residual=iso,

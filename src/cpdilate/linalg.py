@@ -57,12 +57,6 @@ def hermitize(a: Array) -> Array:
     return 0.5 * (a + dagger(a))
 
 
-def eigh_desc(a: Array) -> tuple[Array, Array]:
-    """Hermitian eigendecomposition with eigenvalues in descending order."""
-    w, v = np.linalg.eigh(hermitize(a))
-    return w[::-1], v[:, ::-1]
-
-
 def phase_fix(v: Array) -> Array:
     """Rotate the global phase so the largest-modulus entry is real positive."""
     i = int(np.argmax(np.abs(v)))

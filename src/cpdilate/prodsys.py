@@ -18,10 +18,11 @@ of flips gives the same map.
 As a matrix, the product X(g1) tensor X(g2) -> X(g1+g2) in the mixed layout
 E^a1 F^b1 E^a2 F^b2 is I tensor Sigma(b1, a2) tensor I, where the block flip
 Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
-0. `_BlockFlips` builds each Sigma(b, a) once, with one product from the unit
-flip: Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from
-Sigma(b, a - 1) and Sigma(b, 1). Every product map, `multiply` included, is
-applied as Sigma on the middle axis of a reshape: through `_BlockFlips.apply`,
+0. The block flips belong to the product system: `_block_flip` builds each
+Sigma(b, a) at most once per system, with one product from the unit flip:
+Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from Sigma(b, a - 1)
+and Sigma(b, 1). Every product map, `multiply` and the dilation's included,
+is applied as Sigma on the middle axis of a reshape by `_left_multiply`,
 except in `verify_representation`, which checks the homomorphism identity once
 per g1, batched over every g2, and applies Sigma^T inline on the same reshape
 so that a split whose Sigma is the identity costs no GEMM.
@@ -34,7 +35,7 @@ operators of every fiber up to a horizon as one table per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,9 +91,42 @@ class TwistedProductSystem:
     flip: Array            # mk x mk unitary, F tensor E -> E tensor F
     kraus_t: tuple[Array, ...]
     kraus_s: tuple[Array, ...]
+    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fiber_dim(self, g: GridPoint) -> int:
         return self.m**g.a * self.k**g.b
+
+    def _block_flip(self, b: int, a: int) -> Array | None:
+        """The block flip Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b, an
+        (m^a k^b) x (k^b m^a) matrix built at most once, or None when a or b
+        is 0 and Sigma is the identity.
+
+        Sigma(b, 1) moves one E left past b F's, last flip first:
+        (tau tensor I)(I_k tensor Sigma(b - 1, 1)). Sigma(b, a) moves the
+        first E, then the rest: (I_m tensor Sigma(b, a - 1))(Sigma(b, 1) tensor I).
+        """
+        if a == 0 or b == 0:
+            return None
+        if (b, a) in self._flips:
+            return self._flips[b, a]
+        m, k = self.m, self.k
+        fk = k**b
+        if a == 1 and b == 1:
+            out = self.flip
+        elif a == 1:
+            tau = self.flip.reshape(m, k, k, m)
+            prev = self._block_flip(b - 1, 1).reshape(m, fk // k, fk // k, m)
+            # [e2, f2, f0, F', F0, e0] -> rows (e2, f2, F'), columns (f0, F0, e0)
+            out = np.tensordot(tau, prev, axes=(3, 0)).transpose(0, 1, 3, 2, 4, 5)
+        else:
+            one = self._block_flip(b, 1).reshape(m, fk, fk, m)
+            ma = m ** (a - 1)
+            rest = self._block_flip(b, a - 1).reshape(ma, fk, fk, ma)
+            # [e1, Fb0, e10, A2, Fb2, A0] -> rows (e1, A2, Fb2), columns (Fb0, e10, A0)
+            out = np.tensordot(one, rest, axes=(1, 2)).transpose(0, 3, 4, 1, 2, 5)
+        out = np.ascontiguousarray(out).reshape(m**a * fk, fk * m**a)
+        self._flips[b, a] = out
+        return out
 
     def theta(self) -> KrausFamily:
         return KrausFamily(self.dim_h, self.kraus_t)
@@ -139,16 +173,14 @@ def build_product_system(
     phi: KrausFamily,
     cert: StrongCommutationCertificate,
     tol: float = DEFAULT_TOL,
-    check: bool = True,
 ) -> TwistedProductSystem:
-    if check:
-        result = verify_certificate(theta, phi, cert, tol)
-        if not result.passed:
-            raise InvalidCertificateError(
-                "certificate fails verification "
-                f"(unitarity {result.unitarity_residual:.3e}, "
-                f"intertwining {result.intertwining_residual:.3e})"
-            )
+    result = verify_certificate(theta, phi, cert, tol)
+    if not result.passed:
+        raise InvalidCertificateError(
+            "certificate fails verification "
+            f"(unitarity {result.unitarity_residual:.3e}, "
+            f"intertwining {result.intertwining_residual:.3e})"
+        )
     m, k = len(theta), len(phi)
     return TwistedProductSystem(
         dim_h=theta.dim,
@@ -160,67 +192,27 @@ def build_product_system(
     )
 
 
-class _BlockFlips:
-    """The block flips Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b of one
-    product system, each built at most once.
-
-    `get(b, a)` is the (m^a k^b) x (k^b m^a) matrix, or None when a or b is 0
-    and Sigma is the identity. Sigma(b, 1) moves one E left past b F's, last
-    flip first: (tau tensor I)(I_k tensor Sigma(b - 1, 1)). Sigma(b, a) moves
-    the first E, then the rest: (I_m tensor Sigma(b, a - 1))(Sigma(b, 1)
-    tensor I).
+def _left_multiply(sys: TwistedProductSystem, g: GridPoint, rest: GridPoint, m: Array) -> Array:
+    """(U_{g,rest} tensor I)(I_{X(g)} tensor m) for a matrix m with rows
+    (X(rest), ...): column block w is the left multiplication by the fiber
+    word e_w of X(g), X(rest) -> X(g + rest), applied to m. U_{g,rest} is
+    I tensor Sigma(g.b, rest.a) tensor I, applied to the middle axis of a reshape.
     """
-
-    def __init__(self, sys: TwistedProductSystem):
-        self.sys = sys
-        self._table: dict[tuple[int, int], Array] = {}
-
-    def get(self, b: int, a: int) -> Array | None:
-        if a == 0 or b == 0:
-            return None
-        if (b, a) in self._table:
-            return self._table[b, a]
-        m, k = self.sys.m, self.sys.k
-        fk = k**b
-        if a == 1 and b == 1:
-            out = self.sys.flip
-        elif a == 1:
-            tau = self.sys.flip.reshape(m, k, k, m)
-            prev = self.get(b - 1, 1).reshape(m, fk // k, fk // k, m)
-            # [e2, f2, f0, F', F0, e0] -> rows (e2, f2, F'), columns (f0, F0, e0)
-            out = np.tensordot(tau, prev, axes=(3, 0)).transpose(0, 1, 3, 2, 4, 5)
-        else:
-            one = self.get(b, 1).reshape(m, fk, fk, m)
-            ma = m ** (a - 1)
-            rest = self.get(b, a - 1).reshape(ma, fk, fk, ma)
-            # [e1, Fb0, e10, A2, Fb2, A0] -> rows (e1, A2, Fb2), columns (Fb0, e10, A0)
-            out = np.tensordot(one, rest, axes=(1, 2)).transpose(0, 3, 4, 1, 2, 5)
-        out = np.ascontiguousarray(out).reshape(m**a * fk, fk * m**a)
-        self._table[b, a] = out
-        return out
-
-    def apply(self, g1: GridPoint, g2: GridPoint, x: Array, form: str = "N") -> Array:
-        """The product map U = I_{m^a1} tensor Sigma(b1, a2) tensor I_{k^b2} of
-        X(g1) tensor X(g2) -> X(g1+g2), as U or U^T (form "N" or "T"), applied
-        to the middle axis of a (pre, fiber_dim(g1+g2), post) array x. Returns
-        x itself when U is the identity.
-        """
-        sigma = self.get(g1.b, g2.a)
-        if sigma is None:
-            return x
-        op = {"N": sigma, "T": sigma.T}[form]
-        pre, fd, post = x.shape
-        out = op @ x.reshape(pre * self.sys.m**g1.a, op.shape[1], -1)
-        return out.reshape(pre, fd, post)
+    fd = sys.fiber_dim(g)
+    x = np.zeros((fd, m.shape[0], fd, m.shape[1]), dtype=complex)
+    x[np.arange(fd), :, np.arange(fd)] = m
+    sigma = sys._block_flip(g.b, rest.a)
+    if sigma is not None:
+        x = sigma @ x.reshape(sys.m**g.a, sigma.shape[1], -1)
+    return x.reshape(fd * m.shape[0], -1)
 
 
 def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> FiberVector:
     """Product of fiber vectors; lands at the componentwise sum of grid points."""
     if x.coords.shape[0] != sys.fiber_dim(x.grid) or y.coords.shape[0] != sys.fiber_dim(y.grid):
         raise ValueError("fiber vector length does not match its grid point")
-    raw = np.kron(x.coords, y.coords).astype(complex)
-    out = _BlockFlips(sys).apply(x.grid, y.grid, raw[None, :, None])
-    return FiberVector(x.grid + y.grid, out[0, :, 0])
+    out = _left_multiply(sys, x.grid, y.grid, y.coords[:, None]) @ x.coords
+    return FiberVector(x.grid + y.grid, out)
 
 
 def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
@@ -332,7 +324,6 @@ def verify_representation(
 
     # Int keys and inline product maps: Sigma(b1, a2) is looked up once per a2,
     # and a split costs a GEMM only where it is not the identity.
-    flips = _BlockFlips(sys)
     top_a, top_b = horizon.key()
     hom = 0.0
     for g1 in grid_points(horizon):
@@ -346,7 +337,7 @@ def verify_representation(
         lhs = []
         for a2 in range(top_a - a1 + 1):
             # rep_{g1+g2} (U tensor I): U^T on the word axis of rep_{g1+g2}.
-            sigma = flips.get(b1, a2)
+            sigma = sys._block_flip(b1, a2)
             for b2 in range(top_b - b1 + 1):
                 rep = reps[a1 + a2, b1 + b2]
                 if sigma is not None:

@@ -98,6 +98,13 @@ def oracle_span_projector(dsp, limit) -> np.ndarray:
     return kept @ kept.conj().T
 
 
+def compress(res, b) -> np.ndarray:
+    """embed_h^* b embed_h, the corner of an operator b on K of a lifted
+    dilation res."""
+    e = res.dsp.embed_h
+    return e.conj().T @ b @ e
+
+
 def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:
     """Frobenius agreement to rel relative plus abs_ absolute."""
     diff = np.linalg.norm(np.asarray(got) - np.asarray(want))

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from cpdilate.linalg import dagger
 from cpdilate.prodsys import (
     GridPoint,
     build_product_system,
+    flip_from_certificate,
     grid_points,
     verify_representation,
 )
@@ -247,7 +249,10 @@ def test_criterion_7_negative_control():
         m=2, n=1, u=fake_u, unitarity_residual=0.0, intertwining_residual=0.0
     )
     chk = verify_certificate(theta, phi, fake)
-    sys_ = build_product_system(theta, phi, fake, check=False)
+    sys_ = dataclasses.replace(
+        build_product_system(theta, phi, strong_commutation_certificate(theta, phi)),
+        flip=flip_from_certificate(fake.u, fake.m, fake.n),
+    )
     rep = verify_representation(sys_, GridPoint(2, 2))
     ok = chk.intertwining_residual > 1e-3 and rep.homomorphism_residual > 1e-3
     elapsed = time.perf_counter() - start

@@ -11,7 +11,6 @@ from cpdilate.chan import (
     NotSameChannelError,
     apply_kraus,
     choi_to_kraus,
-    choi_to_super,
     classify,
     compose,
     identity_channel,
@@ -98,12 +97,6 @@ class TestChoi:
         with pytest.raises(NotCompletelyPositiveError) as err:
             choi_to_kraus(choi)
         assert err.value.eigenvalue == pytest.approx(-0.1, abs=1e-12)
-
-    def test_choi_super_reshuffle_consistency(self, rng):
-        k = random_contractive(3, 2, rng)
-        choi = kraus_to_choi(k)
-        sup = kraus_to_super(k)
-        assert fro(choi_to_super(choi) - sup) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 3))

@@ -36,6 +36,7 @@ from conftest import (
     PAULI_X,
     PAULI_Z,
     CommutingFamily,
+    compress,
     corner_collapse_channel,
     mix_of_unitaries,
     oracle_product_unitary,
@@ -507,9 +508,9 @@ class TestVerification:
         g, h = GridPoint(1, 0), GridPoint(0, 1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        p_h = res.compress(res.alpha(h, res.embed(x)))
-        p_g_then_h = res.compress(res.alpha(g, res.embed(p_h)))
-        p_gh = res.compress(res.alpha(g + h, res.embed(x)))
+        p_h = compress(res, res.alpha(h, res.embed(x)))
+        p_g_then_h = compress(res, res.alpha(g, res.embed(p_h)))
+        p_gh = compress(res, res.alpha(g + h, res.embed(x)))
         assert fro(p_g_then_h - p_gh) < 1e-10
 
     def test_grid_limit_beyond_margin_rejected(self, corner_pair):
@@ -547,7 +548,7 @@ class TestVerification:
         assert rep.passed
         # Cross-check the dilation identity against the direct Kraus powers.
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = res.compress(res.alpha(GridPoint(1, 1), res.embed(x)))
+        got = compress(res, res.alpha(GridPoint(1, 1), res.embed(x)))
         expected = apply_kraus(theta, apply_kraus(phi, x))
         assert fro(got - expected) < 1e-9
 

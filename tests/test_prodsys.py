@@ -14,6 +14,7 @@ from cpdilate.prodsys import (
     GridPoint,
     InvalidCertificateError,
     build_product_system,
+    flip_from_certificate,
     grid_points,
     multiply,
     representation_matrix,
@@ -33,9 +34,9 @@ from conftest import (
 )
 
 
-def make_system(theta, phi, **kwargs):
+def make_system(theta, phi):
     cert = strong_commutation_certificate(theta, phi)
-    return build_product_system(theta, phi, cert, **kwargs)
+    return build_product_system(theta, phi, cert)
 
 
 @pytest.fixture
@@ -258,7 +259,9 @@ class TestVerifyRepresentation:
         fake = StrongCommutationCertificate(
             m=2, n=1, u=fake_u, unitarity_residual=0.0, intertwining_residual=0.0
         )
-        sys_ = build_product_system(theta, phi, fake, check=False)
+        sys_ = dataclasses.replace(
+            make_system(theta, phi), flip=flip_from_certificate(fake.u, fake.m, fake.n)
+        )
         rep = verify_representation(sys_, GridPoint(2, 2))
         assert rep.homomorphism_residual > 1e-3
 

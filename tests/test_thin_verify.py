@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdilate import dilation, prodsys
+from cpdilate import prodsys
 from cpdilate.chan import apply_kraus, classify
 from cpdilate.dilation import (
     PSD_FLOOR,
@@ -38,6 +38,7 @@ from cpdilate.strongcomm import strong_commutation_certificate
 
 from conftest import (
     CommutingFamily,
+    compress,
     mix_of_unitaries,
     oracle_product_unitary,
     oracle_span_projector,
@@ -81,6 +82,7 @@ def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
     units = _units(res.sys.dim_h)
     pts = grid_points(grid_limit)
     eye_k = np.eye(dsp.dim_k, dtype=complex)
+    p = dsp.embed_h @ dagger(dsp.embed_h)
     out = dict.fromkeys(DILATION_KEYS, 0.0)
 
     def worst(key, value):
@@ -88,7 +90,7 @@ def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
 
     for g in pts:
         for x in units:
-            rhs = res.compress(_loop_alpha(res, g, res.embed(x)))
+            rhs = compress(res, _loop_alpha(res, g, res.embed(x)))
             worst("dilation", fro(_kraus_power(theta, phi, g, x) - rhs))
         for x in units:
             for y in units:
@@ -102,7 +104,7 @@ def oracle_verify_e_dilation(res, theta, phi, grid_limit) -> dict:
             for iy, vy in enumerate(mats):
                 inner = 1.0 if ix == iy else 0.0
                 worst("isometry", fro(dagger(vx) @ vy - inner * p_g))
-        gap = hermitize(_loop_alpha(res, g, res.p) - res.p)
+        gap = hermitize(_loop_alpha(res, g, p) - p)
         out["p_increase_min_eig"] = min(
             out["p_increase_min_eig"], float(np.linalg.eigvalsh(gap)[0])
         )
@@ -387,31 +389,24 @@ def test_broken_flip_moves_homomorphism_residual():
     assert abs(got - want) <= 1e-12
 
 
-def test_each_block_flip_built_once_per_call(monkeypatch):
+def test_each_block_flip_built_once_per_system(monkeypatch):
+    # Every Sigma(b, a) but the unit flip Sigma(1, 1) is one tensordot. The
+    # three stages of one system share its table: at (3, 3) they need
+    # Sigma(b, a) for 1 <= a, b <= 3, so 8 products in all.
     built: list = []
+    tensordot = np.tensordot
 
-    class CountingFlips(prodsys._BlockFlips):
-        def get(self, b, a):
-            if a and b and (b, a) not in self._table:
-                built.append((id(self), b, a))
-            return super().get(b, a)
+    def counting(*args, **kwargs):
+        built.append(args[0].shape)
+        return tensordot(*args, **kwargs)
 
-    for module in (prodsys, dilation):
-        monkeypatch.setattr(module, "_BlockFlips", CountingFlips)
     theta, phi = mix_pair(2, (2, 3), 6)
-    sys_ = make_system(theta, phi)
     horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
-    big, sys_ = build_big_space(sys_, horizon)
-    dsp = build_dilation_space(big, sys_, margin)
-    for stage in (
-        lambda: verify_representation(sys_, horizon),
-        lambda: build_dilation_space(big, sys_, margin),
-        lambda: lift_operators(dsp, sys_),
-    ):
-        built.clear()
-        stage()
-        assert built and len(set(built)) == len(built)
-        assert len({table for table, _, _ in built}) == 1
+    big, sys_ = build_big_space(make_system(theta, phi), horizon)
+    monkeypatch.setattr(prodsys.np, "tensordot", counting)
+    verify_representation(sys_, horizon)
+    lift_operators(build_dilation_space(big, sys_, margin), sys_)
+    assert len(built) == 3 * 3 - 1
 
 
 def test_deep_grid_representation_is_cheap():
