@@ -426,6 +426,8 @@ def main(argv=None) -> int:
         code, report = 2, {"error": str(exc)}
     except RuntimeError as exc:
         code, report = 2, {"error": f"internal verification failure: {exc}"}
+    except MemoryError as exc:
+        code, report = 2, {"error": f"out of memory: {exc}"}
     try:
         _emit(report, args.format)
     except BrokenPipeError:

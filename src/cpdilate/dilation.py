@@ -168,7 +168,9 @@ class EDilationResult:
 
     dsp: DilationSpace
     sys: TwistedProductSystem
-    v_blocks: dict                      # g -> (fiber_dim(g), dim_k, dim_k) stack, one V_g(e_w) per word
+    # g -> (fiber_dim(g), dim_k, dim_k) stack, one V_g(e_w) per word: a strided
+    # view of the one product [V_1 ... V_fd], which _hstack returns uncopied.
+    v_blocks: dict
 
     def v_blocks_for(self, g: GridPoint) -> Array:
         if g not in self.v_blocks:
@@ -184,20 +186,6 @@ class EDilationResult:
         """
         v = self.v_blocks_for(g)
         return _hstack(v @ b) @ dagger(_hstack(v))
-
-    def alpha_corner(self, g: GridPoint, a: Array) -> Array:
-        """alpha_g(embed a embed^*) via the exact generator-block formula.
-
-        Valid for every g <= horizon: the image of an embedded corner element
-        never leaves the generator blocks, so no truncation is involved.
-        minimality_check uses the same formula without forming it; this
-        explicit form is the one its test oracles read.
-        """
-        if not g <= self.dsp.horizon:
-            raise OutOfHorizonError(f"{g.key()} exceeds the horizon")
-        f_g = self.dsp.blocks[g]
-        fd = self.sys.fiber_dim(g)
-        return f_g @ np.kron(np.eye(fd, dtype=complex), np.asarray(a, dtype=complex)) @ dagger(f_g)
 
     def embed(self, a: Array) -> Array:
         e = self.dsp.embed_h
@@ -222,7 +210,7 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
     v_blocks: dict = {}
     for g in grid_points(dsp.margin):
         wide = _left_multiply(sys, g, top - g, dagger(dsp.blocks[top - g]))
-        v_blocks[g] = np.ascontiguousarray(wide.reshape(k, -1, k).transpose(1, 0, 2))
+        v_blocks[g] = wide.reshape(k, -1, k).transpose(1, 0, 2)
     return EDilationResult(dsp=dsp, sys=sys, v_blocks=v_blocks)
 
 
@@ -555,25 +543,21 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
     """
     dsp, sys = res.dsp, res.sys
     n, d = sys.dim_h, dsp.dim_k
-    # blocks[g][:, r, :] = A_r, one contiguous (d, n, fd_g) stack per grid point.
-    blocks = [
-        np.ascontiguousarray(dsp.blocks[g].reshape(d, -1, n).transpose(0, 2, 1))
-        for g in grid_points(dsp.horizon)
-    ]
+    # The factor block f_g of each grid point, whose columns are (X(g), H).
+    blocks = [dsp.blocks[g] for g in grid_points(dsp.horizon)]
 
-    # sum over (r, c) of C_g[r, c] A_r A_c^* is blk (C_g tensor I) blk^*, flattened.
+    # sum over (r, c) of C_g[r, c] A_r A_c^* is f_g (I tensor C_g) f_g^*.
     coefs = _random_coefficients(len(blocks) * n * n).reshape(-1, n, n)
     a = np.zeros((d, d), dtype=complex)
-    for blk, c in zip(blocks, coefs):
-        a += np.einsum("drw,rc->dcw", blk, c).reshape(d, -1) @ dagger(blk.reshape(d, -1))
+    for f, c in zip(blocks, coefs):
+        a += (f.reshape(d, -1, n) @ c).reshape(d, -1) @ dagger(f)
 
     def _chunks(frame: Array) -> Iterator[Array]:
         frame_h = dagger(frame)
-        for blk in blocks:
-            h = (frame_h @ blk.reshape(d, -1)).reshape(d * n, -1)
-            # Entry ((i, r), (j, c)) is (H_r H_c^*)[i, j].
-            outer = (h @ dagger(h)).reshape(d, n, d, n)
-            yield outer.transpose(1, 3, 0, 2).reshape(n * n, d, d)
+        for f in blocks:
+            h = (frame_h @ f).reshape(d, -1, n).transpose(2, 0, 1)  # h[r] = H_r
+            # Generator (r, c), H_r H_c^*, at r * n + c.
+            yield (h[:, None] @ h.conj().transpose(0, 2, 1)[None]).reshape(n * n, d, d)
 
     frame, sizes = _eigen_clusters(a + dagger(a))
     coef, p, q = _block_commutant(_chunks(frame), sizes)

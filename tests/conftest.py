@@ -105,6 +105,15 @@ def compress(res, b) -> np.ndarray:
     return e.conj().T @ b @ e
 
 
+def oracle_alpha_corner(res, g, a) -> np.ndarray:
+    """alpha_g(embed a embed^*) of a lifted dilation res, by the exact
+    generator-block formula f_g (I tensor a) f_g^*, valid for every g up to
+    the horizon."""
+    f_g = res.dsp.blocks[g]
+    fd = res.sys.fiber_dim(g)
+    return f_g @ np.kron(np.eye(fd, dtype=complex), np.asarray(a, dtype=complex)) @ f_g.conj().T
+
+
 def close(got, want, rel: float = 1e-12, abs_: float = 1e-14) -> bool:
     """Frobenius agreement to rel relative plus abs_ absolute."""
     diff = np.linalg.norm(np.asarray(got) - np.asarray(want))

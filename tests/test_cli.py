@@ -504,6 +504,23 @@ class TestErrors:
         assert code == 2
         assert rep == {"error": "internal verification failure: no consistent block structure"}
 
+    def test_memory_error_exits_two(self, monkeypatch):
+        # Exit 1 means "property false"; an exhausted allocation is not that.
+        def exhausted(res):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (8192, 8192)")
+
+        monkeypatch.setattr(cli, "minimality_check", exhausted)
+        code, rep = run_cli(
+            "dilate",
+            str(FIXTURES / "channel_conj_z.json"),
+            str(FIXTURES / "channel_conj_x.json"),
+            "--horizon", "1", "1",
+            "--margin", "1", "1",
+        )
+        assert code == 2
+        assert rep["error"].startswith("out of memory")
+        assert "Unable to allocate 1.00 GiB" in rep["error"]
+
     @pytest.mark.parametrize("command", ["stochastic", "strong-commute"])
     def test_stochastic_entries_must_be_json_numbers(self, tmp_path, command):
         # The channel decoder's rule: true/false and numeric strings are not

@@ -39,6 +39,7 @@ from conftest import (
     compress,
     corner_collapse_channel,
     mix_of_unitaries,
+    oracle_alpha_corner,
     oracle_product_unitary,
     oracle_span_projector,
     pauli_mix_pair,
@@ -439,8 +440,15 @@ class TestLiftedOperators:
         res = lift_operators(dsp, sys_)
         with pytest.raises(OutOfHorizonError):
             res.v_blocks_for(GridPoint(2, 0))
-        with pytest.raises(OutOfHorizonError):
-            res.alpha_corner(GridPoint(3, 0), np.eye(2))
+
+    def test_word_stack_is_a_view_of_one_product(self, corner_pair):
+        # fiber_dim((1, 0)) = 2: the stack of two V_g(e_w) and the wide
+        # product [V_1 V_2] that alpha and verify_e_dilation read share memory.
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
+        res = lift_operators(dsp, sys_)
+        v = res.v_blocks_for(GridPoint(1, 0))
+        assert len(v) == 2
+        assert np.shares_memory(dilation._hstack(v), v)
 
     def test_alpha_routes_agree_on_embedded_arguments(self, corner_pair):
         # Lifted V_g route vs exact generator-block route.
@@ -450,7 +458,7 @@ class TestLiftedOperators:
         for g in grid_points(dsp.margin):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             via_v = res.alpha(g, res.embed(a))
-            via_blocks = res.alpha_corner(g, a)
+            via_blocks = oracle_alpha_corner(res, g, a)
             assert fro(via_v - via_blocks) < 1e-10
 
     def test_endomorphism_on_matrix_units(self, corner_pair):
@@ -622,6 +630,23 @@ class TestMinimality:
         assert rep.dim_k == rep.span_dim == 128
         assert rep.commutant_dim == 1
         assert rep.closure_dim == 128**2
+
+    def test_corner_pair_at_dim_k_256_holds_no_generator_copy(self, corner_pair):
+        # The generators are read from the stored factor blocks: no
+        # transposed copy of them, and no (n dim K)^2 outer product per grid
+        # point, is made (7.25 n^2 dim K^2 16 B with both, 5.75 without).
+        sys_, _, dsp = pipeline(*corner_pair, GridPoint(7, 0), GridPoint(0, 0))
+        res = lift_operators(dsp, sys_)
+        n, d = sys_.dim_h, dsp.dim_k
+        assert d == 256
+        tracemalloc.start()
+        try:
+            rep = minimality_check(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * n * n * d * d * 16
+        assert rep.span_full and rep.commutant_dim == 1
 
     @staticmethod
     def _path_graph_check(embed):
@@ -835,7 +860,7 @@ class TestCommutant:
         rep = minimality_check(res)
         # The oracle's generators come from the explicit kron formula.
         gens = np.stack(
-            [res.alpha_corner(g, m) for g in grid_points(horizon) for m in _units_of(2)]
+            [oracle_alpha_corner(res, g, m) for g in grid_points(horizon) for m in _units_of(2)]
         )
         # The oracle stops once its span stops growing; dim K rounds always
         # suffice. It grows the span by Krylov rounds, independently of the
