@@ -23,7 +23,7 @@ give identical outputs on one platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +68,19 @@ class EquivalenceCompletionError(RuntimeError):
         super().__init__(f"unitary completion failed (residual {residual:.3e})")
 
 
-def _freeze(a: Array) -> Array:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class KrausFamily:
-    """Ordered family of n x n operators presenting a CP map a |-> sum T a T^*."""
+    """Ordered family of n x n operators presenting a CP map a |-> sum T a T^*,
+    held as one read-only (L, n, n) complex stack copied from the input."""
 
     dim: int
-    ops: tuple[Array, ...]
+    ops: Array
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if len(self.ops) < 1:
             raise ValueError("a Kraus family needs at least one operator")
-        frozen = []
         for t in self.ops:
             t = np.asarray(t)
             if t.shape != (self.dim, self.dim):
@@ -94,8 +88,9 @@ class KrausFamily:
                     f"Kraus operator has shape {t.shape}, expected {(self.dim, self.dim)}"
                 )
             require_finite(t, "Kraus operator")
-            frozen.append(_freeze(t))
-        object.__setattr__(self, "ops", tuple(frozen))
+        ops = np.array(self.ops, dtype=complex)
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
         top = float(np.linalg.eigvalsh(hermitize(self.op_sum()))[-1])
         if top > 1.0 + _CONTRACTIVITY_GUARD:
             raise ValueError(f"family is not contractive: lambda_max(sum T T*) = {top:.6f}")
@@ -106,6 +101,11 @@ class KrausFamily:
     def op_sum(self) -> Array:
         """sum_i T_i T_i^*."""
         return sum(t @ dagger(t) for t in self.ops)
+
+    @cached_property
+    def unitality_residual(self) -> float:
+        """|| sum_i T_i T_i^* - I ||_F; the map is unital when it is within tol."""
+        return fro(hermitize(self.op_sum()) - np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def identity_channel(dim: int) -> KrausFamily:
 
 def conjugation(u: Array) -> KrausFamily:
     """The map a |-> u a u^* for a single operator u."""
-    u = np.asarray(u, dtype=complex)
-    return KrausFamily(u.shape[0], (u,))
+    return KrausFamily(len(u), (u,))
 
 
 def pad(k: KrausFamily, length: int) -> KrausFamily:
@@ -134,14 +133,14 @@ def pad(k: KrausFamily, length: int) -> KrausFamily:
         raise ValueError("cannot pad to a shorter length")
     if length == len(k):
         return k
-    z = np.zeros((k.dim, k.dim), dtype=complex)
-    return KrausFamily(k.dim, k.ops + (z,) * (length - len(k)))
+    z = np.zeros((length - len(k), k.dim, k.dim), dtype=complex)
+    return KrausFamily(k.dim, np.concatenate((k.ops, z)))
 
 
-def _kraus_matrix(ops: Sequence[Array]) -> Array:
-    """The n^2 x L matrix M whose i-th column is vec(T_i), for L operators T_i."""
-    d = ops[0].shape[0]
-    return np.stack(ops, axis=-1).reshape(d * d, len(ops), order="F")
+def _kraus_matrix(ops: Array) -> Array:
+    """The n^2 x L matrix M whose i-th column is vec(T_i), for an (L, n, n) stack."""
+    d = ops.shape[-1]
+    return ops.transpose(1, 2, 0).reshape(d * d, len(ops), order="F")
 
 
 def kraus_to_choi(k: KrausFamily) -> Array:
@@ -228,15 +227,13 @@ def compose(k1: KrausFamily, k2: KrausFamily) -> KrausFamily:
 
 def classify(k: KrausFamily, tol: float = DEFAULT_TOL) -> ChannelReport:
     w_min = float(np.linalg.eigvalsh(hermitize(kraus_to_choi(k)))[0])
-    osum = hermitize(k.op_sum())
-    unitality = fro(osum - np.eye(k.dim))
-    lam_max = float(np.linalg.eigvalsh(osum)[-1])
+    lam_max = float(np.linalg.eigvalsh(hermitize(k.op_sum()))[-1])
     return ChannelReport(
         is_cp=w_min >= -tol,
-        is_unital=unitality <= tol,
+        is_unital=k.unitality_residual <= tol,
         is_contractive=lam_max <= 1.0 + tol,
         min_choi_eigenvalue=w_min,
-        unitality_residual=unitality,
+        unitality_residual=k.unitality_residual,
         tol=tol,
     )
 

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chan import KrausFamily, classify
+from .chan import KrausFamily
 from .linalg import (
     DEFAULT_VERIFY_TOL,
     Array,
@@ -146,8 +146,8 @@ def build_dilation_space(
     """
     if not (margin <= big.horizon):
         raise OutOfHorizonError(f"margin {margin.key()} exceeds horizon {big.horizon.key()}")
-    for fam, name in ((sys.theta(), "first"), (sys.phi(), "second")):
-        if not classify(fam, _UNITAL_GUARD).is_unital:
+    for fam, name in ((sys.theta, "first"), (sys.phi, "second")):
+        if not fam.unitality_residual <= _UNITAL_GUARD:
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
     words = _word_operators(sys, big.horizon)

@@ -22,15 +22,16 @@ Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
 Sigma(b, a) at most once per system, with one product from the unit flip:
 Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from Sigma(b, a - 1)
 and Sigma(b, 1). Every product map, `multiply` and the dilation's included,
-is applied as Sigma on the middle axis of a reshape by `_left_multiply`,
+is applied as Sigma on the middle axis of a reshape by `_product_map`,
 except in `verify_representation`, which checks the homomorphism identity once
 per g1, batched over every g2, and applies Sigma^T inline on the same reshape
 so that a split whose Sigma is the identity costs no GEMM.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
-what makes it multiplicative across fibers. `_word_operators` builds the word
-operators of every fiber up to a horizon as one table per call.
+what makes it multiplicative across fibers. The system owns its two families,
+and `_word_operators` keeps the word operators of every fiber built so far as
+one table per system.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chan import DEFAULT_TOL, KrausFamily, classify
+from .chan import DEFAULT_TOL, KrausFamily
 from .linalg import Array, CapExceededError, dagger, fro, max_block_fro
 from .strongcomm import StrongCommutationCertificate, verify_certificate
 
@@ -85,13 +86,14 @@ def grid_points(horizon: GridPoint) -> list[GridPoint]:
 
 @dataclass(frozen=True)
 class TwistedProductSystem:
-    dim_h: int
-    m: int                 # dim of the E fiber = Kraus length of the first map
-    k: int                 # dim of the F fiber = Kraus length of the second map
+    theta: KrausFamily
+    phi: KrausFamily
     flip: Array            # mk x mk unitary, F tensor E -> E tensor F
-    kraus_t: tuple[Array, ...]
-    kraus_s: tuple[Array, ...]
     _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    dim_h = property(lambda self: self.theta.dim)
+    m = property(lambda self: len(self.theta))  # dim of the E fiber = Kraus length of theta
+    k = property(lambda self: len(self.phi))    # dim of the F fiber = Kraus length of phi
 
     def fiber_dim(self, g: GridPoint) -> int:
         return self.m**g.a * self.k**g.b
@@ -127,12 +129,6 @@ class TwistedProductSystem:
         out = np.ascontiguousarray(out).reshape(m**a * fk, fk * m**a)
         self._flips[b, a] = out
         return out
-
-    def theta(self) -> KrausFamily:
-        return KrausFamily(self.dim_h, self.kraus_t)
-
-    def phi(self) -> KrausFamily:
-        return KrausFamily(self.dim_h, self.kraus_s)
 
 
 @dataclass(frozen=True)
@@ -181,58 +177,66 @@ def build_product_system(
             f"(unitarity {result.unitarity_residual:.3e}, "
             f"intertwining {result.intertwining_residual:.3e})"
         )
-    m, k = len(theta), len(phi)
     return TwistedProductSystem(
-        dim_h=theta.dim,
-        m=m,
-        k=k,
-        flip=flip_from_certificate(cert.u, m, k),
-        kraus_t=theta.ops,
-        kraus_s=phi.ops,
+        theta=theta, phi=phi, flip=flip_from_certificate(cert.u, len(theta), len(phi))
     )
+
+
+def _product_map(sys: TwistedProductSystem, g: GridPoint, rest: GridPoint, x: Array) -> Array:
+    """U_{g,rest} = I tensor Sigma(g.b, rest.a) tensor I on the leading
+    X(g) tensor X(rest) axes of x, as Sigma on the middle axis of a reshape;
+    x itself when Sigma is the identity. The caller reshapes the result."""
+    sigma = sys._block_flip(g.b, rest.a)
+    if sigma is None:
+        return x
+    return sigma @ x.reshape(sys.m**g.a, sigma.shape[1], -1)
 
 
 def _left_multiply(sys: TwistedProductSystem, g: GridPoint, rest: GridPoint, m: Array) -> Array:
     """(U_{g,rest} tensor I)(I_{X(g)} tensor m) for a matrix m with rows
     (X(rest), ...): column block w is the left multiplication by the fiber
-    word e_w of X(g), X(rest) -> X(g + rest), applied to m. U_{g,rest} is
-    I tensor Sigma(g.b, rest.a) tensor I, applied to the middle axis of a reshape.
+    word e_w of X(g), X(rest) -> X(g + rest), applied to m.
     """
     fd = sys.fiber_dim(g)
     x = np.zeros((fd, m.shape[0], fd, m.shape[1]), dtype=complex)
     x[np.arange(fd), :, np.arange(fd)] = m
-    sigma = sys._block_flip(g.b, rest.a)
-    if sigma is not None:
-        x = sigma @ x.reshape(sys.m**g.a, sigma.shape[1], -1)
-    return x.reshape(fd * m.shape[0], -1)
+    return _product_map(sys, g, rest, x).reshape(fd * m.shape[0], -1)
 
 
 def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> FiberVector:
-    """Product of fiber vectors; lands at the componentwise sum of grid points."""
+    """Product U_{g1,g2} (x tensor y) of fiber vectors, at g1 + g2."""
     if x.coords.shape[0] != sys.fiber_dim(x.grid) or y.coords.shape[0] != sys.fiber_dim(y.grid):
         raise ValueError("fiber vector length does not match its grid point")
-    out = _left_multiply(sys, x.grid, y.grid, y.coords[:, None]) @ x.coords
-    return FiberVector(x.grid + y.grid, out)
+    out = _product_map(sys, x.grid, y.grid, np.outer(x.coords.astype(complex), y.coords))
+    return FiberVector(x.grid + y.grid, out.reshape(-1))
 
 
 def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
-    """g -> the (fiber_dim(g), n, n) stack of the word operators
-    T_{i_1}..T_{i_a}S_{j_1}..S_{j_b} of X(g), for every g <= horizon in grid order.
+    """The system's table g -> read-only (fiber_dim(g), n, n) stack of the word
+    operators T_{i_1}..T_{i_a}S_{j_1}..S_{j_b} of X(g), extended to every g <= horizon.
 
     Each stack is one batched product from a neighbour: (a, b) appends an S
     letter to (a, b - 1) and (a, 0) a T letter to (a - 1, 0), so word w
     followed by letter t lands at w * (number of letters) + t.
     """
-    n = sys.dim_h
-    words = {ZERO: np.eye(n, dtype=complex)[None]}
-    for g in grid_points(horizon)[1:]:
-        prev, ops = (words[g - F_STEP], sys.kraus_s) if g.b else (words[g - E_STEP], sys.kraus_t)
-        words[g] = (prev[:, None] @ np.stack(ops)).reshape(-1, n, n)
+    n, words = sys.dim_h, sys._words
+    for g in grid_points(horizon):
+        if g in words:
+            continue
+        if g == ZERO:
+            stack = np.eye(n, dtype=complex)[None]
+        else:
+            prev, fam = (words[g - F_STEP], sys.phi) if g.b else (words[g - E_STEP], sys.theta)
+            stack = (prev[:, None] @ fam.ops).reshape(-1, n, n)
+        stack.setflags(write=False)
+        words[g] = stack
     return words
 
 
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
-    """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b}."""
+    """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b};
+    CapExceededError, before building, when the grid below g passes DEFAULT_FIBER_CAP."""
+    _big_space_dim(sys, g, DEFAULT_FIBER_CAP)
     return _word_operators(sys, g)[g].transpose(1, 0, 2).reshape(sys.dim_h, -1)
 
 
@@ -247,7 +251,7 @@ def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array
     """
 
     def apply(fam: KrausFamily, y: Array) -> Array:
-        ops = np.stack(fam.ops)[:, None]
+        ops = fam.ops[:, None]
         return (ops @ y @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
     foot = np.asarray(x, dtype=complex)
@@ -305,14 +309,13 @@ def verify_representation(
     _big_space_dim(sys, horizon, cap)
     words = _word_operators(sys, horizon)
     # Entry [i, w, j] of reps[a, b] is entry (i, j) of the operator of fiber word w.
-    reps = {g.key(): np.ascontiguousarray(w.transpose(1, 0, 2)) for g, w in words.items()}
-
-    theta, phi = sys.theta(), sys.phi()
-    unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
+    pts = grid_points(horizon)
+    reps = {g.key(): np.ascontiguousarray(words[g].transpose(1, 0, 2)) for g in pts}
+    unital = all(fam.unitality_residual <= tol for fam in (sys.theta, sys.phi))
 
     ident = 0.0
     coiso = 0.0
-    for g, power in _kraus_grid(theta, phi, horizon, _matrix_units(n)):
+    for g, power in _kraus_grid(sys.theta, sys.phi, horizon, _matrix_units(n)):
         rep = reps[g.key()]
         # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
         diff = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
@@ -326,7 +329,7 @@ def verify_representation(
     # and a split costs a GEMM only where it is not the identity.
     top_a, top_b = horizon.key()
     hom = 0.0
-    for g1 in grid_points(horizon):
+    for g1 in pts:
         a1, b1 = g1.key()
         fd1, rows = sys.fiber_dim(g1), n * sys.m**a1
         splits = [(a2, b2) for a2 in range(top_a - a1 + 1) for b2 in range(top_b - b1 + 1)]

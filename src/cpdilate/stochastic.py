@@ -65,8 +65,8 @@ class DiagonalIntertwiner:
 
 def _as_square(p) -> Array:
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {p.shape}")
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {p.shape}")
     return p
 
 

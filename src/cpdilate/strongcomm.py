@@ -85,8 +85,7 @@ def _products(theta: KrausFamily, phi: KrausFamily) -> tuple[Array, Array]:
     """Stacks of T_i S_j at flat index i*n + j and S_q T_p at p*n + q (certificate rows and columns)."""
     if theta.dim != phi.dim:
         raise DimensionMismatchError(f"dims {theta.dim} and {phi.dim} differ")
-    t = np.stack(theta.ops)[:, None]
-    s = np.stack(phi.ops)[None, :]
+    t, s = theta.ops[:, None], phi.ops[None, :]
     d = theta.dim
     return (t @ s).reshape(-1, d, d), (s @ t).reshape(-1, d, d)
 

@@ -202,6 +202,26 @@ class TestClassify:
         assert rep.unitality_residual == pytest.approx(fro(0.25 * np.eye(2) - np.eye(2)))
 
 
+class TestKrausFamily:
+    def test_ops_is_one_read_only_copy(self):
+        given = np.stack([PAULI_X, PAULI_Z]) / np.sqrt(2)
+        k = KrausFamily(2, given)
+        assert k.ops.shape == (2, 2, 2) and k.ops.dtype == complex
+        assert not k.ops.flags.writeable and not np.shares_memory(k.ops, given)
+        given[0] = 0.0
+        assert np.array_equal(k.ops[0], PAULI_X / np.sqrt(2))
+
+    def test_tuple_input_gives_the_same_stack(self):
+        k = KrausFamily(2, (PAULI_X / np.sqrt(2), PAULI_Z / np.sqrt(2)))
+        assert np.array_equal(k.ops, np.stack([PAULI_X, PAULI_Z]) / np.sqrt(2))
+        assert np.array_equal(pad(k, 3).ops[2], np.zeros((2, 2)))
+
+    def test_unitality_residual_is_the_classify_field(self):
+        k = KrausFamily(2, (0.5 * np.eye(2, dtype=complex),))
+        assert k.unitality_residual == classify(k).unitality_residual
+        assert k.unitality_residual == fro(0.25 * np.eye(2) - np.eye(2))
+
+
 class TestEquivalenceUnitary:
     def test_identity_on_itself(self):
         u = kraus_equivalence_unitary(identity_channel(2), identity_channel(2))

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ class TestMultiply:
                     assert left.grid == right.grid
                     assert fro(left.coords - right.coords) < 1e-9
 
+    def test_memory_is_linear_in_the_product(self, mixed_system):
+        # Two 256-coordinate vectors at (4, 4): the product has 2^16
+        # coordinates (1 MiB); I_{X(g1)} tensor y as a matrix would be 256 MiB.
+        rng = np.random.default_rng(0)
+        x, y = (
+            FiberVector(GridPoint(4, 4), rng.normal(size=256) + 1j * rng.normal(size=256))
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            got = multiply(mixed_system, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.grid == GridPoint(8, 8) and got.coords.shape == (2**16,)
+        assert peak < 16 * 2**20
+
     def test_length_mismatch_rejected(self, mixed_system):
         with pytest.raises(ValueError):
             multiply(
@@ -182,6 +200,14 @@ class TestRepresentation:
         for g in grid_points(GridPoint(2, 2)):
             rep = representation_matrix(mixed_system, g)
             assert np.linalg.norm(rep, 2) <= 1.0 + 1e-10
+
+    def test_cap_refuses_before_building(self, mixed_system):
+        # The grid below (20, 20) has 2 (2^21 - 1)^2 dimensions.
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            representation_matrix(mixed_system, GridPoint(20, 20))
+        assert time.perf_counter() - start < 1.0
+        assert not mixed_system._words
 
 
 

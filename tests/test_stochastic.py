@@ -51,6 +51,15 @@ class TestValidate:
         with pytest.raises(ValueError, match="negative"):
             validate(np.array([[1.5, -0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "check",
+        [validate, lambda p: card_criterion(p, p), lambda p: semigroup_at(p, 1.0), is_irreducible],
+        ids=["validate", "card_criterion", "semigroup_at", "is_irreducible"],
+    )
+    def test_empty_matrix_refused(self, check):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            check(np.zeros((0, 0)))
+
 
 class TestCardCriterion:
     def test_equal_matrices_hold(self, rng):

@@ -8,6 +8,7 @@ the isometry stated against an eigendecomposition of the generator cover
 dim_k x dim_k gap, so the fast path is never checked against itself.
 """
 
+import collections
 import dataclasses
 import time
 import tracemalloc
@@ -18,12 +19,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpdilate import prodsys
-from cpdilate.chan import apply_kraus, classify
+from cpdilate.chan import KrausFamily, apply_kraus, classify
 from cpdilate.dilation import (
     PSD_FLOOR,
     build_big_space,
     build_dilation_space,
     lift_operators,
+    minimality_check,
     verify_e_dilation,
 )
 from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, dagger, fro, hermitize
@@ -130,7 +132,7 @@ def oracle_verify_representation(sys, horizon, tol=DEFAULT_TOL) -> dict:
     """
     n = sys.dim_h
     reps = {g: prodsys.representation_matrix(sys, g) for g in grid_points(horizon)}
-    theta, phi = sys.theta(), sys.phi()
+    theta, phi = sys.theta, sys.phi
     unital = classify(theta, tol).is_unital and classify(phi, tol).is_unital
     out = dict.fromkeys(REPRESENTATION_KEYS, 0.0)
     for g, rep in reps.items():
@@ -407,6 +409,42 @@ def test_each_block_flip_built_once_per_system(monkeypatch):
     verify_representation(sys_, horizon)
     lift_operators(build_dilation_space(big, sys_, margin), sys_)
     assert len(built) == 3 * 3 - 1
+
+
+class _CountingTable(dict):
+    """A word table that counts how often each grid point is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_pipeline_reads_one_representation_of_the_pair(monkeypatch):
+    # The whole pipeline on a mix/conj pair at (3,3)/(1,1): once the system
+    # is built no Kraus family is constructed or validated again, and its
+    # three readers share one word table, each stack built once, read-only.
+    theta, phi = mix_pair(2, (2, 1), 4)
+    horizon, margin = GridPoint(3, 3), GridPoint(1, 1)
+    sys_ = make_system(theta, phi)
+    table = _CountingTable()
+    object.__setattr__(sys_, "_words", table)
+    constructed: list = []
+    post_init = KrausFamily.__post_init__
+    monkeypatch.setattr(
+        KrausFamily, "__post_init__", lambda self: constructed.append(self) or post_init(self)
+    )
+    assert verify_representation(sys_, horizon).passed
+    big, sys_ = build_big_space(sys_, horizon)
+    res = lift_operators(build_dilation_space(big, sys_, margin), sys_)
+    assert verify_e_dilation(res, theta, phi, margin).passed
+    assert minimality_check(res).passed
+    assert constructed == []
+    assert table.stores == {g: 1 for g in grid_points(horizon)}
+    assert not any(stack.flags.writeable for stack in table.values())
 
 
 def test_deep_grid_representation_is_cheap():
