@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """End-to-end dilation walkthrough on three commuting pairs.
 
-For each pair: certify strong commutation, build the twisted product system,
-verify the covariant representation on a grid, realize the dilation space
-K = X(horizon) tensor H block by block down from the top, and check
-the endomorphic dilation identities plus minimality. Prints a compact summary
-per pair and exits 1 when any pair fails verification.
+For each pair, one dilate call certifies strong commutation, builds the
+twisted product system, realizes the dilation space K = X(horizon) tensor H
+block by block down from the top, and checks the endomorphic dilation
+identities plus minimality; the covariant representation is then verified on
+the grid. Prints a compact summary per pair and exits 1 when any pair fails
+verification.
 """
 
 import argparse
@@ -15,15 +16,8 @@ import time
 import numpy as np
 
 from cpdilate.chan import KrausFamily, identity_channel
-from cpdilate.dilation import (
-    build_big_space,
-    build_dilation_space,
-    lift_operators,
-    minimality_check,
-    verify_e_dilation,
-)
-from cpdilate.prodsys import GridPoint, build_product_system, verify_representation
-from cpdilate.strongcomm import strong_commutation_certificate
+from cpdilate.dilation import dilate
+from cpdilate.prodsys import GridPoint, verify_representation
 
 
 def named_pairs(seed: int):
@@ -64,14 +58,9 @@ def main():
     all_passed = True
     for name, theta, phi in named_pairs(args.seed):
         start = time.perf_counter()
-        cert = strong_commutation_certificate(theta, phi)
-        system = build_product_system(theta, phi, cert)
-        rep = verify_representation(system, horizon)
-        big, system = build_big_space(system, horizon)
-        dsp = build_dilation_space(big, system, margin)
-        res = lift_operators(dsp, system)
-        ver = verify_e_dilation(res, theta, phi, margin)
-        mini = minimality_check(res)
+        run = dilate(theta, phi, horizon, margin)
+        cert, dsp, ver, mini = run.cert, run.res.dsp, run.report, run.minimality
+        rep = verify_representation(run.res.sys, horizon)
         elapsed = time.perf_counter() - start
 
         print(f"== {name}  (m={len(theta)}, k={len(phi)}, n={theta.dim})")
@@ -85,7 +74,7 @@ def main():
             f"coisometry {rep.coisometry_residual:.1e}"
         )
         print(
-            f"   dilation: big space {big.total_dim}, dimK {dsp.dim_k}, "
+            f"   dilation: big space {dsp.big.total_dim}, dimK {dsp.dim_k}, "
             f"gram min eig {dsp.gram_min_eig:.1e}"
         )
         print(
@@ -99,9 +88,8 @@ def main():
             f"   minimality: span {mini.span_dim}/{mini.dim_k}, "
             f"commutant dim {mini.commutant_dim}, closure dim {mini.closure_dim}"
         )
-        passed = ver.passed and mini.passed
-        all_passed = all_passed and passed
-        print(f"   verified: {passed}   [{elapsed:.2f}s]")
+        all_passed = all_passed and run.passed
+        print(f"   verified: {run.passed}   [{elapsed:.2f}s]")
         print()
     return 0 if all_passed else 1
 

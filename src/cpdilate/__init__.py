@@ -14,8 +14,10 @@ from .chan import (
     kraus_to_super,
 )
 from .dilation import (
+    DilationRun,
     build_big_space,
     build_dilation_space,
+    dilate,
     lift_operators,
     minimality_check,
     verify_e_dilation,
@@ -45,6 +47,7 @@ from .strongcomm import (
 
 __all__ = [
     "ChannelReport",
+    "DilationRun",
     "FiberVector",
     "GridPoint",
     "KrausFamily",
@@ -61,6 +64,7 @@ __all__ = [
     "classify",
     "compose",
     "conjugation",
+    "dilate",
     "identity_channel",
     "is_irreducible",
     "kraus_equivalence_unitary",

@@ -68,7 +68,7 @@ class EquivalenceCompletionError(RuntimeError):
         super().__init__(f"unitary completion failed (residual {residual:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausFamily:
     """Ordered family of n x n operators presenting a CP map a |-> sum T a T^*,
     held as one read-only (L, n, n) complex stack copied from the input."""

@@ -21,20 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from . import chan, stochastic
-from .dilation import (
-    DEFAULT_BIG_CAP,
-    build_big_space,
-    build_dilation_space,
-    lift_operators,
-    minimality_check,
-    verify_e_dilation,
-)
+from .dilation import DEFAULT_BIG_CAP, dilate
 from .linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, DEFAULT_ZERO_TOL, CapExceededError
 from .prodsys import DEFAULT_FIBER_CAP, GridPoint, build_product_system, verify_representation
 from .strongcomm import (
@@ -267,11 +260,7 @@ def cmd_prodsys(args) -> tuple[int, dict]:
 def _load_dilate_inputs(args):
     """Two channel files, or one combined {"theta", "phi", "certificate"?} file."""
     if len(args.channels) == 2:
-        return (
-            _load_channel(args.channels[0], args.tol),
-            _load_channel(args.channels[1], args.tol),
-            None,
-        )
+        return (*(_load_channel(path, args.tol) for path in args.channels), None)
     path = args.channels[0]
     data = _load_json(path)
     if "theta" not in data or "phi" not in data:
@@ -283,18 +272,15 @@ def _load_dilate_inputs(args):
         if not isinstance(data["certificate"], dict) or "u" not in data["certificate"]:
             raise InputError(f"{path}: 'certificate' needs a 'u' matrix")
         u = chan.matrix_from_json(data["certificate"]["u"])
-        cert = StrongCommutationCertificate(len(theta), len(phi), u, 0.0, 0.0)
-        chk = verify_certificate(theta, phi, cert, args.tol)
+        chk = verify_certificate(theta, phi, SimpleNamespace(u=u), args.tol)  # reads only u
         if not chk.passed:
             raise InputError(
                 f"{path}: supplied certificate fails verification "
                 f"(unitarity {chk.unitarity_residual:.3e}, "
                 f"intertwining {chk.intertwining_residual:.3e})"
             )
-        cert = replace(
-            cert,
-            unitarity_residual=chk.unitarity_residual,
-            intertwining_residual=chk.intertwining_residual,
+        cert = StrongCommutationCertificate(
+            len(theta), len(phi), u, chk.unitarity_residual, chk.intertwining_residual
         )
     return theta, phi, cert
 
@@ -303,19 +289,15 @@ def cmd_dilate(args) -> tuple[int, dict]:
     if len(args.channels) not in (1, 2):
         raise InputError("dilate takes two channel files or one combined file")
     theta, phi, cert = _load_dilate_inputs(args)
-    horizon = _grid(args.horizon)
-    margin = _grid(args.margin)
+    horizon, margin = _grid(args.horizon), _grid(args.margin)
     try:
-        if cert is None:
-            cert = strong_commutation_certificate(theta, phi, args.tol)
+        run = dilate(
+            theta, phi, horizon, margin,
+            cert=cert, tol=args.tol, verify_tol=args.verify_tol, cap=args.cap,
+        )
     except NonCommutingError as exc:
         return 1, {"command": "dilate", "error": str(exc), "tol": args.tol}
-    system = build_product_system(theta, phi, cert, args.tol)
-    big, system = build_big_space(system, horizon, args.cap)
-    dsp = build_dilation_space(big, system, margin)
-    res = lift_operators(dsp, system)
-    rep = verify_e_dilation(res, theta, phi, margin, args.verify_tol)
-    mini = minimality_check(res)
+    dsp, rep, mini, cert = run.res.dsp, run.report, run.minimality, run.cert
     report = {
         "command": "dilate",
         "horizon": [horizon.a, horizon.b],
@@ -334,17 +316,17 @@ def cmd_dilate(args) -> tuple[int, dict]:
             "span_dim": mini.span_dim,
             "commutant_dim": mini.commutant_dim,
             "closure_dim": mini.closure_dim,
-            # A documented constant: minimality_check runs no closure iteration.
+            # A documented constant: the minimality check runs no closure iteration.
             "closure_converged": True,
         },
-        "passed": rep.passed and mini.passed,
+        "passed": run.passed,
         "tol": rep.tol,
         "certificate_residuals": {
             "unitarity": cert.unitarity_residual,
             "intertwining": cert.intertwining_residual,
         },
     }
-    return (0 if rep.passed and mini.passed else 1), report
+    return (0 if run.passed else 1), report
 
 
 def positive(text: str) -> float:

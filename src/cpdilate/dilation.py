@@ -48,6 +48,7 @@ import numpy as np
 
 from .chan import KrausFamily
 from .linalg import (
+    DEFAULT_TOL,
     DEFAULT_VERIFY_TOL,
     Array,
     CapExceededError,
@@ -65,8 +66,10 @@ from .prodsys import (
     _left_multiply,
     _matrix_units,
     _word_operators,
+    build_product_system,
     grid_points,
 )
+from .strongcomm import StrongCommutationCertificate, strong_commutation_certificate
 
 # Floor below zero allowed for p_increase_min_eig.
 PSD_FLOOR = 1e-10
@@ -100,7 +103,7 @@ def build_big_space(
     return BigSpace(horizon=horizon, points=points, dims=dims, total_dim=total), sys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationSpace:
     """The dilation space K = X(horizon) tensor H at a finite horizon."""
 
@@ -162,7 +165,7 @@ def build_dilation_space(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class EDilationResult:
     """Lifted operators of the dilation on K-coordinates."""
 
@@ -216,7 +219,6 @@ def lift_operators(dsp: DilationSpace, sys: TwistedProductSystem) -> EDilationRe
 
 @dataclass(frozen=True)
 class DilationReport:
-    dim_k: int
     gram_min_eig: float
     isometry_residual: float
     coisometry_residual: float
@@ -349,7 +351,6 @@ def verify_e_dilation(
             semi = max(semi, max_block_fro(diff, n, k))
 
     return DilationReport(
-        dim_k=dsp.dim_k,
         gram_min_eig=dsp.gram_min_eig,
         isometry_residual=iso,
         coisometry_residual=coiso,
@@ -543,6 +544,11 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
     """
     dsp, sys = res.dsp, res.sys
     n, d = sys.dim_h, dsp.dim_k
+    if d > MAX_COMMUTANT_UNKNOWNS:  # the unknowns, sum of squared cluster sizes, are >= d
+        raise CapExceededError(
+            f"commutant solve needs at least dim K = {d} unknowns, "
+            f"over the cap {MAX_COMMUTANT_UNKNOWNS}"
+        )
     # The factor block f_g of each grid point, whose columns are (X(g), H).
     blocks = [dsp.blocks[g] for g in grid_points(dsp.horizon)]
 
@@ -577,3 +583,34 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         commutant_dim=coef.shape[1],
         closure_dim=_closure_dim(coef, p, q, d),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class DilationRun:
+    """One pass of dilate; the system and the space are res.sys and res.dsp."""
+
+    cert: StrongCommutationCertificate
+    res: EDilationResult
+    report: DilationReport
+    minimality: MinimalityReport
+
+    @property
+    def passed(self) -> bool:
+        return self.report.passed and self.minimality.passed
+
+
+def dilate(
+    theta: KrausFamily, phi: KrausFamily, horizon: GridPoint, margin: GridPoint, *,
+    cert: StrongCommutationCertificate | None = None, tol: float = DEFAULT_TOL,
+    verify_tol: float = DEFAULT_VERIFY_TOL, cap: int = DEFAULT_BIG_CAP,
+) -> DilationRun:
+    """Certify the pair unless cert is given (NonCommutingError if it does not
+    commute), build its product system, dilate to horizon, verify up to margin
+    against the caller's theta and phi, and check minimality. Each stage is
+    called by its module-level name, so that a tracer swapping them sees it."""
+    if cert is None:
+        cert = strong_commutation_certificate(theta, phi, tol)
+    big, sys = build_big_space(build_product_system(theta, phi, cert, tol), horizon, cap)
+    res = lift_operators(build_dilation_space(big, sys, margin), sys)
+    report = verify_e_dilation(res, theta, phi, margin, verify_tol)
+    return DilationRun(cert=cert, res=res, report=report, minimality=minimality_check(res))

@@ -84,13 +84,13 @@ def grid_points(horizon: GridPoint) -> list[GridPoint]:
     return [GridPoint(a, b) for a in range(horizon.a + 1) for b in range(horizon.b + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedProductSystem:
     theta: KrausFamily
     phi: KrausFamily
     flip: Array            # mk x mk unitary, F tensor E -> E tensor F
-    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _flips: dict = field(default_factory=dict, init=False, repr=False)
+    _words: dict = field(default_factory=dict, init=False, repr=False)
     dim_h = property(lambda self: self.theta.dim)
     m = property(lambda self: len(self.theta))  # dim of the E fiber = Kraus length of theta
     k = property(lambda self: len(self.phi))    # dim of the F fiber = Kraus length of phi
@@ -131,7 +131,7 @@ class TwistedProductSystem:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberVector:
     grid: GridPoint
     coords: Array

@@ -48,14 +48,14 @@ class DiagonalCommutationReport:
     tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwinerBlock:
     domain_js: tuple[int, ...]
     codomain_js: tuple[int, ...]
     matrix: Array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalIntertwiner:
     n: int
     blocks: dict

@@ -58,7 +58,7 @@ class CommutationReport:
     tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrongCommutationCertificate:
     """Unitary witness u for strong commutation, with its residuals.
 

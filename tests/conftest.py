@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cpdilate.chan import KrausFamily, identity_channel
+from cpdilate.dilation import build_big_space, build_dilation_space, lift_operators
+from cpdilate.prodsys import build_product_system
+from cpdilate.strongcomm import strong_commutation_certificate
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -51,6 +54,19 @@ def random_contractive(n: int, m: int, rng: np.random.Generator) -> KrausFamily:
     lam = np.linalg.eigvalsh(total)[-1].real
     scale = 1.0 / np.sqrt(lam * 1.01)
     return KrausFamily(n, tuple(scale * t for t in ops))
+
+
+def make_system(theta, phi):
+    """The twisted product system of a strongly commuting pair."""
+    return build_product_system(theta, phi, strong_commutation_certificate(theta, phi))
+
+
+def lifted(theta, phi, horizon, margin):
+    """The stages of dilation.dilate up to the lift, with default
+    tolerances: the lifted dilation, whose system and space are res.sys and
+    res.dsp."""
+    big, sys_ = build_big_space(make_system(theta, phi), horizon)
+    return lift_operators(build_dilation_space(big, sys_, margin), sys_)
 
 
 def oracle_super(k: KrausFamily) -> np.ndarray:

@@ -48,13 +48,23 @@ def write_channel(tmp_path, name, fam):
     return str(path)
 
 
+ZX = (str(FIXTURES / "channel_conj_z.json"), str(FIXTURES / "channel_conj_x.json"))
+PQ = (str(FIXTURES / "stochastic_p_3x3.json"), str(FIXTURES / "stochastic_q_3x3.json"))
+GRID = ("--horizon", "2", "2", "--margin", "1", "1")
+
+
+def dilate_combined(tmp_path, **fields):
+    """dilate at GRID on one combined file: the ZX pair as theta and phi,
+    with fields added or replacing them."""
+    pair = {key: json.loads(Path(path).read_text()) for key, path in zip(("theta", "phi"), ZX)}
+    combined = tmp_path / "pair.json"
+    combined.write_text(json.dumps({**pair, **fields}))
+    return run_cli("dilate", str(combined), *GRID)
+
+
 class TestStochasticRouting:
     def test_paper_pair_exits_one_with_witness(self):
-        code, rep = run_cli(
-            "strong-commute",
-            str(FIXTURES / "stochastic_p_3x3.json"),
-            str(FIXTURES / "stochastic_q_3x3.json"),
-        )
+        code, rep = run_cli("strong-commute", *PQ)
         assert code == 1
         assert rep["route"] == "diagonal"
         assert rep["commute"] is True
@@ -64,21 +74,13 @@ class TestStochasticRouting:
         assert rep["strongly_commute"] is False
 
     def test_golden_report(self):
-        code, rep = run_cli(
-            "strong-commute",
-            str(FIXTURES / "stochastic_p_3x3.json"),
-            str(FIXTURES / "stochastic_q_3x3.json"),
-        )
+        code, rep = run_cli("strong-commute", *PQ)
         golden = json.loads((FIXTURES / "golden_strong_commute_3x3.json").read_text())
         assert code == 1
         assert rep == golden
 
     def test_byte_stable_across_runs(self):
-        args = (
-            "strong-commute",
-            str(FIXTURES / "stochastic_p_3x3.json"),
-            str(FIXTURES / "stochastic_q_3x3.json"),
-        )
+        args = ("strong-commute", *PQ)
         outs = []
         for _ in range(2):
             buf = io.StringIO()
@@ -106,11 +108,7 @@ class TestChannels:
         assert code == 1 and not rep["commute"]
 
     def test_strong_commute_certificate(self):
-        code, rep = run_cli(
-            "strong-commute",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-        )
+        code, rep = run_cli("strong-commute", *ZX)
         assert code == 0
         assert rep["u"] == [[[-1.0, 0.0]]]
         assert rep["unitarity_residual"] <= 1e-9
@@ -154,24 +152,12 @@ class TestChannels:
         assert rep["error"]
 
     def test_prodsys_verify(self):
-        code, rep = run_cli(
-            "prodsys",
-            "verify",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "2", "2",
-        )
+        code, rep = run_cli("prodsys", "verify", *ZX, "--horizon", "2", "2")
         assert code == 0
         assert rep["passed"]
 
     def test_dilate_zx(self):
-        code, rep = run_cli(
-            "dilate",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "2", "2",
-            "--margin", "1", "1",
-        )
+        code, rep = run_cli("dilate", *ZX, *GRID)
         assert code == 0
         assert rep["dimK"] == 2
         assert rep["gram_min_eig"] >= -1e-10
@@ -205,8 +191,7 @@ class TestChannels:
             "dilate",
             str(FIXTURES / "channel_corner_collapse.json"),
             str(FIXTURES / "channel_identity_2.json"),
-            "--horizon", "2", "2",
-            "--margin", "1", "1",
+            *GRID,
         )
         outs = []
         for _ in range(2):
@@ -229,7 +214,7 @@ class TestChannels:
             with open(path) as f:
                 got = channel_from_json(json.load(f))
             assert np.array_equal(np.stack(got.ops), np.stack(mix_of_unitaries(family, 3).ops))
-        code, rep = run_cli("dilate", *paths, "--horizon", "2", "2", "--margin", "1", "1")
+        code, rep = run_cli("dilate", *paths, *GRID)
         assert code == 1
         assert rep["dimK"] == 162
         assert rep["minimality"] == {
@@ -237,33 +222,20 @@ class TestChannels:
         }
 
     def test_dilate_combined_file_with_certificate(self, tmp_path):
-        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
-        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
-        combined = tmp_path / "pair.json"
-        combined.write_text(json.dumps({
-            "theta": z,
-            "phi": x,
-            "certificate": {"u": [[[-1.0, 0.0]]]},
-        }))
-        code, rep = run_cli(
-            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
-        )
+        code, rep = dilate_combined(tmp_path, certificate={"u": [[[-1.0, 0.0]]]})
         assert code == 0
         assert rep["dimK"] == 2
         assert rep["certificate_residuals"]["intertwining"] <= 1e-9
 
+    def test_dilate_goes_through_the_entry_point_once(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "dilate", lambda *a, **k: runs.append(1) or dilation.dilate(*a, **k))
+        code, rep = run_cli("dilate", *ZX, *GRID)
+        assert code == 0 and rep["passed"]
+        assert runs == [1]
+
     def test_dilate_combined_file_bad_certificate_exits_two(self, tmp_path):
-        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
-        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
-        combined = tmp_path / "pair.json"
-        combined.write_text(json.dumps({
-            "theta": z,
-            "phi": x,
-            "certificate": {"u": [[[1.0, 0.0]]]},  # wrong sign
-        }))
-        code, rep = run_cli(
-            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
-        )
+        code, rep = dilate_combined(tmp_path, certificate={"u": [[[1.0, 0.0]]]})  # wrong sign
         assert code == 2
         assert "certificate" in rep["error"]
 
@@ -295,9 +267,7 @@ class TestErrors:
 
     def test_mixed_input_types_exit_two(self, tmp_path):
         ch = write_channel(tmp_path, "c.json", identity_channel(2))
-        code, rep = run_cli(
-            "strong-commute", ch, str(FIXTURES / "stochastic_p_3x3.json")
-        )
+        code, rep = run_cli("strong-commute", ch, PQ[0])
         assert code == 2
 
     def test_closed_stdout_keeps_exit_code(self, monkeypatch):
@@ -322,37 +292,19 @@ class TestErrors:
 
     def test_minimality_cap_exits_two(self, monkeypatch):
         monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)
-        code, rep = run_cli(
-            "dilate",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "2", "2",
-            "--margin", "1", "1",
-        )
+        code, rep = run_cli("dilate", *ZX, *GRID)
         assert code == 2
         assert "over the cap" in rep["error"]
 
     def test_big_space_cap_is_not_a_verification_failure(self):
         # A refused size is reported as such, not as an internal failure.
-        code, rep = run_cli(
-            "dilate",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "3", "3",
-            "--margin", "1", "1",
-            "--cap", "10",
-        )
+        code, rep = run_cli("dilate", *ZX, "--horizon", "3", "3", "--margin", "1", "1", "--cap", "10")
         assert code == 2
         assert rep == {"error": "big space dimension 32 exceeds cap 10"}
 
     def test_prodsys_cap_bounds_the_grid(self):
         # One-dimensional fibers: the total over the grid is what is capped.
-        code, rep = run_cli(
-            "prodsys", "verify",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "100", "100",
-        )
+        code, rep = run_cli("prodsys", "verify", *ZX, "--horizon", "100", "100")
         assert code == 2
         assert rep == {"error": "big space dimension 20402 exceeds cap 4096"}
 
@@ -365,24 +317,12 @@ class TestErrors:
         assert "'dim'" in rep["error"]
 
     def test_combined_file_certificate_without_u_exits_two(self, tmp_path):
-        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
-        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
-        combined = tmp_path / "pair.json"
-        combined.write_text(json.dumps({"theta": z, "phi": x, "certificate": {}}))
-        code, rep = run_cli(
-            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
-        )
+        code, rep = dilate_combined(tmp_path, certificate={})
         assert code == 2
         assert "'u'" in rep["error"]
 
     def test_combined_file_certificate_past_float_range_exits_two(self, tmp_path):
-        z = json.loads((FIXTURES / "channel_conj_z.json").read_text())
-        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
-        combined = tmp_path / "pair.json"
-        combined.write_text(json.dumps({"theta": z, "phi": x, "certificate": {"u": [[10**400]]}}))
-        code, rep = run_cli(
-            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
-        )
+        code, rep = dilate_combined(tmp_path, certificate={"u": [[10**400]]})
         assert code == 2
         assert "too large" in rep["error"]
 
@@ -404,12 +344,7 @@ class TestErrors:
         assert message in rep["error"]
 
     def test_combined_file_channel_not_an_object_exits_two(self, tmp_path):
-        x = json.loads((FIXTURES / "channel_conj_x.json").read_text())
-        combined = tmp_path / "pair.json"
-        combined.write_text(json.dumps({"theta": 5, "phi": x}))
-        code, rep = run_cli(
-            "dilate", str(combined), "--horizon", "2", "2", "--margin", "1", "1"
-        )
+        code, rep = dilate_combined(tmp_path, theta=5)
         assert code == 2
         assert "'theta'" in rep["error"]
 
@@ -430,25 +365,13 @@ class TestErrors:
         # Each of these used to flip a verdict: --tol inf made a non-commuting
         # pair commute, and --zero-tol -1 made the stochastic pair pass.
         with pytest.raises(SystemExit) as exc:
-            main([
-                *option,
-                "strong-commute",
-                str(FIXTURES / "stochastic_p_3x3.json"),
-                str(FIXTURES / "stochastic_q_3x3.json"),
-            ])
+            main([*option, "strong-commute", *PQ])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan"])
     def test_nonpositive_verify_tol_exits_two(self, value):
         with pytest.raises(SystemExit) as exc:
-            main([
-                "dilate",
-                str(FIXTURES / "channel_conj_z.json"),
-                str(FIXTURES / "channel_conj_x.json"),
-                "--horizon", "2", "2",
-                "--margin", "1", "1",
-                "--verify-tol", value,
-            ])
+            main(["dilate", *ZX, *GRID, "--verify-tol", value])
         assert exc.value.code == 2
 
     def test_stochastic_bad_rows_exit_two(self, tmp_path):
@@ -462,7 +385,7 @@ class TestErrors:
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps({"matrix": matrix}))
             for command in ("stochastic", "strong-commute"):
-                code, rep = run_cli(command, str(bad), str(FIXTURES / "stochastic_p_3x3.json"))
+                code, rep = run_cli(command, str(bad), PQ[0])
                 assert code == 2, (command, name)
                 assert str(bad) in rep["error"], (command, name)
 
@@ -482,13 +405,7 @@ class TestErrors:
     def test_file_counts_and_shapes_exit_two(self, tmp_path, argv, message):
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps({"matrix": [[0.5, 0.5]]}))
-        files = {
-            "P": FIXTURES / "stochastic_p_3x3.json",
-            "Q": FIXTURES / "stochastic_q_3x3.json",
-            "Z": FIXTURES / "channel_conj_z.json",
-            "X": FIXTURES / "channel_conj_x.json",
-            "WIDE": wide,
-        }
+        files = {**dict(zip("PQZX", PQ + ZX)), "WIDE": wide}
         code, rep = run_cli(*(str(files.get(arg, arg)) for arg in argv))
         assert code == 2
         assert message in rep["error"]
@@ -498,9 +415,7 @@ class TestErrors:
             raise RuntimeError("no consistent block structure")
 
         monkeypatch.setattr(cli, "check_commute", broken)
-        code, rep = run_cli(
-            "commute", str(FIXTURES / "channel_conj_z.json"), str(FIXTURES / "channel_conj_x.json")
-        )
+        code, rep = run_cli("commute", *ZX)
         assert code == 2
         assert rep == {"error": "internal verification failure: no consistent block structure"}
 
@@ -509,14 +424,8 @@ class TestErrors:
         def exhausted(res):
             raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (8192, 8192)")
 
-        monkeypatch.setattr(cli, "minimality_check", exhausted)
-        code, rep = run_cli(
-            "dilate",
-            str(FIXTURES / "channel_conj_z.json"),
-            str(FIXTURES / "channel_conj_x.json"),
-            "--horizon", "1", "1",
-            "--margin", "1", "1",
-        )
+        monkeypatch.setattr(dilation, "minimality_check", exhausted)
+        code, rep = run_cli("dilate", *ZX, "--horizon", "1", "1", "--margin", "1", "1")
         assert code == 2
         assert rep["error"].startswith("out of memory")
         assert "Unable to allocate 1.00 GiB" in rep["error"]
@@ -541,24 +450,14 @@ class TestErrors:
 
 class TestStochasticFlags:
     def test_check_card(self):
-        code, rep = run_cli(
-            "stochastic",
-            str(FIXTURES / "stochastic_p_3x3.json"),
-            str(FIXTURES / "stochastic_q_3x3.json"),
-            "--check-card",
-        )
+        code, rep = run_cli("stochastic", *PQ, "--check-card")
         assert code == 1
         assert rep["card_holds"] is False
 
     def test_semigroup_and_irreducible(self):
         # At t = 800 the factors e^{-t} and e^{tP} under- and overflow.
         for t in ("0.5", "800"):
-            code, rep = run_cli(
-                "stochastic",
-                str(FIXTURES / "stochastic_p_3x3.json"),
-                "--semigroup", t,
-                "--irreducible",
-            )
+            code, rep = run_cli("stochastic", PQ[0], "--semigroup", t, "--irreducible")
             assert code == 0
             assert rep["irreducible"] == [True]
             rows = np.asarray(rep["semigroup"])
@@ -567,17 +466,13 @@ class TestStochasticFlags:
     def test_reducible_matrix_exits_one(self, tmp_path):
         reducible = tmp_path / "identity.json"
         reducible.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 1.0]]}))
-        code, rep = run_cli(
-            "stochastic", str(reducible), str(FIXTURES / "stochastic_p_3x3.json"), "--irreducible"
-        )
+        code, rep = run_cli("stochastic", str(reducible), PQ[0], "--irreducible")
         assert code == 1
         assert rep["irreducible"] == [False, True]
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-1", "1e308"])
     def test_semigroup_out_of_reach_exits_two(self, t):
-        code, rep = run_cli(
-            "stochastic", str(FIXTURES / "stochastic_q_3x3.json"), "--semigroup", t
-        )
+        code, rep = run_cli("stochastic", PQ[1], "--semigroup", t)
         assert code == 2 and "error" in rep
 
     def test_parser_defaults_are_library_constants(self, monkeypatch):

@@ -1,6 +1,9 @@
 """Determinism and edge-case coverage across modules."""
 
+import copy
+
 import numpy as np
+import pytest
 
 from cpdilate.chan import (
     KrausFamily,
@@ -10,18 +13,13 @@ from cpdilate.chan import (
     kraus_equivalence_unitary,
     kraus_to_choi,
 )
-from cpdilate.dilation import (
-    build_big_space,
-    build_dilation_space,
-    lift_operators,
-    verify_e_dilation,
-)
+from cpdilate.dilation import verify_e_dilation
 from cpdilate.linalg import fro
-from cpdilate.prodsys import GridPoint, build_product_system, verify_representation
-from cpdilate.stochastic import semigroup_at
+from cpdilate.prodsys import FiberVector, GridPoint, build_product_system, verify_representation
+from cpdilate.stochastic import DiagonalIntertwiner, IntertwinerBlock, semigroup_at
 from cpdilate.strongcomm import strong_commutation_certificate
 
-from conftest import CommutingFamily, mix_of_unitaries
+from conftest import CommutingFamily, lifted, mix_of_unitaries
 
 
 class TestDeterminism:
@@ -35,13 +33,7 @@ class TestDeterminism:
         assert c1.unitarity_residual == c2.unitarity_residual
 
     def test_dilation_factor_bit_identical(self, corner_pair):
-        outs = []
-        for _ in range(2):
-            cert = strong_commutation_certificate(*corner_pair)
-            sys_ = build_product_system(*corner_pair, cert)
-            big, sys_ = build_big_space(sys_, GridPoint(2, 2))
-            dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
-            outs.append(lift_operators(dsp, sys_))
+        outs = [lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1)) for _ in range(2)]
         blocks = [out.dsp.blocks for out in outs]
         assert list(blocks[0]) == list(blocks[1])
         assert all(np.array_equal(f, blocks[1][g]) for g, f in blocks[0].items())
@@ -79,13 +71,41 @@ class TestEdges:
 
     def test_one_dimensional_h_full_pipeline(self):
         theta = identity_channel(1)
-        cert = strong_commutation_certificate(theta, theta)
-        sys_ = build_product_system(theta, theta, cert)
-        big, sys_ = build_big_space(sys_, GridPoint(4, 4))
-        dsp = build_dilation_space(big, sys_, GridPoint(2, 2))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, theta, GridPoint(4, 4), GridPoint(2, 2))
         rep = verify_e_dilation(res, theta, theta, GridPoint(2, 2))
-        assert rep.passed and dsp.dim_k == 1
+        assert rep.passed and res.dsp.dim_k == 1
+
+
+def array_holders(zx_pair):
+    """One instance of each dataclass that holds arrays, by class name."""
+    res = lifted(*zx_pair, GridPoint(1, 1), GridPoint(1, 1))
+    block = IntertwinerBlock((0,), (0,), np.eye(1))
+    return {
+        "KrausFamily": zx_pair[0],
+        "StrongCommutationCertificate": strong_commutation_certificate(*zx_pair),
+        "TwistedProductSystem": res.sys,
+        "FiberVector": FiberVector(GridPoint(1, 0), np.ones(1)),
+        "DilationSpace": res.dsp,
+        "EDilationResult": res,
+        "IntertwinerBlock": block,
+        "DiagonalIntertwiner": DiagonalIntertwiner(1, {0: block}, 0.0, 0.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "KrausFamily", "StrongCommutationCertificate", "TwistedProductSystem", "FiberVector",
+        "DilationSpace", "EDilationResult", "IntertwinerBlock", "DiagonalIntertwiner",
+    ],
+)
+def test_array_holders_compare_by_identity(name, zx_pair):
+    # Field-wise equality would compare arrays, which raises; identity does not.
+    x = array_holders(zx_pair)[name]
+    assert type(x).__name__ == name
+    assert x == x
+    assert x != copy.deepcopy(x)
+    assert len({x, x}) == 1
 
 
 class TestScale:
@@ -113,11 +133,7 @@ class TestScale:
         family = CommutingFamily(3, rng)
         theta = mix_of_unitaries(family, 2)
         phi = KrausFamily(3, (family.member(),))
-        cert = strong_commutation_certificate(theta, phi)
-        sys_ = build_product_system(theta, phi, cert)
-        big, sys_ = build_big_space(sys_, GridPoint(2, 2))
-        dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
         rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
         assert rep.passed
-        assert dsp.dim_k == sys_.fiber_dim(GridPoint(2, 2)) * 3
+        assert res.dsp.dim_k == res.sys.fiber_dim(GridPoint(2, 2)) * 3

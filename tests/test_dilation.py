@@ -16,21 +16,20 @@ from cpdilate.dilation import (
     algebra_dims,
     build_big_space,
     build_dilation_space,
-    lift_operators,
+    dilate,
     minimality_check,
     verify_e_dilation,
 )
 from cpdilate.linalg import dagger, fro, hermitize
+from cpdilate.strongcomm import NonCommutingError, strong_commutation_certificate
 from cpdilate.prodsys import (
     E_STEP,
     F_STEP,
     ZERO,
     GridPoint,
-    build_product_system,
     grid_points,
     representation_matrix,
 )
-from cpdilate.strongcomm import strong_commutation_certificate
 
 from conftest import (
     PAULI_X,
@@ -38,25 +37,16 @@ from conftest import (
     CommutingFamily,
     compress,
     corner_collapse_channel,
+    lifted,
+    make_system,
     mix_of_unitaries,
     oracle_alpha_corner,
     oracle_product_unitary,
     oracle_span_projector,
     pauli_mix_pair,
+    random_contractive,
     random_unitary,
 )
-
-
-def make_system(theta, phi):
-    cert = strong_commutation_certificate(theta, phi)
-    return build_product_system(theta, phi, cert)
-
-
-def pipeline(theta, phi, horizon, margin):
-    sys_ = make_system(theta, phi)
-    big, sys_ = build_big_space(sys_, horizon)
-    dsp = build_dilation_space(big, sys_, margin)
-    return sys_, big, dsp
 
 
 class HatOracle:
@@ -67,12 +57,13 @@ class HatOracle:
     horizon stays below it, so compositions are exact. The canonical
     composition order applies all (1,0) steps first. Unit steps are the
     one-shot maps of direct_blocks, so nothing here calls the library's step
-    code. The oracle keeps its own block offsets of the big space.
+    code. The oracle keeps its own block offsets of the big space of the
+    lifted dilation res.
     """
 
-    def __init__(self, sys, big):
-        self.sys = sys
-        self.big = big
+    def __init__(self, res):
+        self.sys = res.sys
+        self.big = big = res.dsp.big
         self.offsets = {}
         total = 0
         for g in big.points:
@@ -171,14 +162,15 @@ def oracle_gram(oracle: HatOracle):
     return hermitize(gram)
 
 
-def assert_factor_matches_oracle(sys, big, dsp):
-    """The blocks of dsp come in grid order; side by side they form the
+def assert_factor_matches_oracle(res):
+    """The blocks of res.dsp come in grid order; side by side they form the
     factor, whose Gram matrix is the join-formula one, of rank dim K; and
     block s is (hat_{horizon - s} on the top block)^*.
 
     Returns the Gram matrix.
     """
-    oracle = HatOracle(sys, big)
+    oracle = HatOracle(res)
+    dsp, big = res.dsp, res.dsp.big
     gram = oracle_gram(oracle)
     assert list(dsp.blocks) == list(big.points)
     factor = np.hstack([dsp.blocks[g] for g in big.points])
@@ -219,16 +211,16 @@ ORACLE_CASES = [
 
 
 @pytest.fixture
-def scalar_identity_pipeline():
+def scalar_identity():
     theta = identity_channel(1)
-    return pipeline(theta, theta, GridPoint(2, 2), GridPoint(1, 1))
+    return lifted(theta, theta, GridPoint(2, 2), GridPoint(1, 1))
 
 
 class TestBigSpace:
-    def test_identity_pair_shift_structure(self, scalar_identity_pipeline):
-        sys_, big, _ = scalar_identity_pipeline
+    def test_identity_pair_shift_structure(self, scalar_identity):
+        big = scalar_identity.dsp.big
         assert big.total_dim == 9  # nine one-dimensional blocks
-        oracle = HatOracle(sys_, big)
+        oracle = HatOracle(scalar_identity)
         step = oracle.matrix(GridPoint(1, 0))
         # delta_t |-> delta_{t-(1,0)}: a pure block shift with unit entries.
         for t in big.points:
@@ -240,9 +232,10 @@ class TestBigSpace:
 
     def test_zx_blocks_are_words_with_shift(self, zx_pair):
         theta, phi = zx_pair
-        sys_, big, _ = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+        res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+        big = res.dsp.big
         assert all(big.dims[g] == 2 for g in big.points)
-        blocks = HatOracle(sys_, big).blocks(GridPoint(1, 0))
+        blocks = HatOracle(res).blocks(GridPoint(1, 0))
         for t, m in blocks.items():
             # Conjugation word Z, twisted by (-1) for each F letter it passes.
             assert fro(m - (-1.0) ** t.b * theta.ops[0]) < 1e-12
@@ -282,17 +275,17 @@ class TestBigSpace:
             build_big_space(sys_, GridPoint(3, 2), cap=big.total_dim - 1)
 
     def test_coisometry_on_interior_blocks(self, corner_pair):
-        sys_, big, _ = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
+        oracle = HatOracle(lifted(*corner_pair, GridPoint(2, 1), GridPoint(1, 1)))
         for step in (GridPoint(1, 0), GridPoint(0, 1), GridPoint(1, 1)):
-            assert HatOracle(sys_, big).coisometry_residual(step) < 1e-12
+            assert oracle.coisometry_residual(step) < 1e-12
 
     def test_steps_commute(self, rng):
         family = CommutingFamily(2, rng)
-        sys_, big, _ = pipeline(
+        res = lifted(
             mix_of_unitaries(family, 2), mix_of_unitaries(family, 2),
             GridPoint(2, 2), GridPoint(1, 1),
         )
-        oracle = HatOracle(sys_, big)
+        oracle = HatOracle(res)
         a = oracle.matrix(GridPoint(1, 0))
         b = oracle.matrix(GridPoint(0, 1))
         assert fro(a @ b - b @ a) < 1e-12
@@ -301,11 +294,11 @@ class TestBigSpace:
         # hat_{(a,b)} assembled from unit steps vs the one-shot decomposition
         # X(t) = X(t-g) tensor X(g); agreement exercises the flip machinery.
         family = CommutingFamily(2, rng)
-        sys_, big, _ = pipeline(
+        res = lifted(
             mix_of_unitaries(family, 2), mix_of_unitaries(family, 2),
             GridPoint(2, 2), GridPoint(1, 1),
         )
-        oracle = HatOracle(sys_, big)
+        oracle = HatOracle(res)
         for g in (GridPoint(2, 1), GridPoint(1, 1), GridPoint(2, 2)):
             composed = oracle.blocks(g)
             direct = oracle.direct_blocks(g)
@@ -317,9 +310,9 @@ class TestBigSpace:
         # With a complex flip, a product map that conjugates or transposes it
         # is seen. The library's closed-form blocks meet this flip in
         # test_factor_matches_oracle_gram[rotated].
-        sys_, big, _ = pipeline(*named_pair("rotated"), GridPoint(2, 2), GridPoint(1, 1))
-        assert np.abs(sys_.flip.imag).max() > 0.1
-        oracle = HatOracle(sys_, big)
+        res = lifted(*named_pair("rotated"), GridPoint(2, 2), GridPoint(1, 1))
+        assert np.abs(res.sys.flip.imag).max() > 0.1
+        oracle = HatOracle(res)
         for g in (GridPoint(2, 1), GridPoint(1, 1), GridPoint(2, 2)):
             composed = oracle.blocks(g)
             direct = oracle.direct_blocks(g)
@@ -328,27 +321,26 @@ class TestBigSpace:
 
 
 class TestDilationSpace:
-    def test_identity_pair_collapses_to_h(self, scalar_identity_pipeline):
-        sys_, big, dsp = scalar_identity_pipeline
+    def test_identity_pair_collapses_to_h(self, scalar_identity):
+        dsp = scalar_identity.dsp
         assert dsp.dim_k == 1
-        assert np.allclose(oracle_gram(HatOracle(sys_, big)), np.ones((9, 9)))
+        assert np.allclose(oracle_gram(HatOracle(scalar_identity)), np.ones((9, 9)))
         assert fro(dagger(dsp.embed_h) @ dsp.embed_h - np.eye(1)) < 1e-12
 
     def test_zx_pair_dilation_is_itself(self, zx_pair):
-        _, _, dsp = pipeline(*zx_pair, GridPoint(3, 3), GridPoint(1, 1))
+        dsp = lifted(*zx_pair, GridPoint(3, 3), GridPoint(1, 1)).dsp
         assert dsp.dim_k == 2
         assert dsp.gram_min_eig > -1e-10
 
     def test_corner_pair_proper_dilation_rank_pinned(self, corner_pair):
         # dim X(2,0) * n = 8, frozen as a regression value.
-        _, _, dsp = pipeline(*corner_pair, GridPoint(2, 0), GridPoint(1, 0))
+        dsp = lifted(*corner_pair, GridPoint(2, 0), GridPoint(1, 0)).dsp
         assert dsp.dim_k == 8
         assert dsp.dim_k > 2
 
     def test_gram_diagonal_blocks_are_identities(self, corner_pair):
-        sys_, big, _ = pipeline(*corner_pair, GridPoint(2, 1), GridPoint(1, 1))
-        oracle = HatOracle(sys_, big)
-        gram = oracle_gram(oracle)
+        oracle = HatOracle(lifted(*corner_pair, GridPoint(2, 1), GridPoint(1, 1)))
+        big, gram = oracle.big, oracle_gram(oracle)
         for g in big.points:
             sl = oracle.block_slice(g)
             assert fro(gram[sl, sl] - np.eye(big.dims[g])) < 1e-12
@@ -357,16 +349,17 @@ class TestDilationSpace:
     def test_factor_matches_oracle_gram(self, name, horizon):
         horizon = GridPoint(*horizon)
         margin = GridPoint(min(horizon.a, 1), min(horizon.b, 1))
-        sys_, big, dsp = pipeline(*named_pair(name), horizon, margin)
-        assert dsp.dim_k == big.dims[horizon]
-        gram = assert_factor_matches_oracle(sys_, big, dsp)
+        res = lifted(*named_pair(name), horizon, margin)
+        dsp = res.dsp
+        assert dsp.dim_k == dsp.big.dims[horizon]
+        gram = assert_factor_matches_oracle(res)
         # sum_g T_g^* T_g carries the nonzero spectrum of the Gram matrix.
         gram_eigs = np.linalg.eigvalsh(gram)
         assert abs(dsp.kept_min - gram_eigs[-dsp.dim_k]) < 1e-10 * gram_eigs[-1]
         assert dsp.gram_min_eig == 0.0 and dsp.dropped_max == 0.0
 
     def test_embed_is_isometry(self, corner_pair):
-        _, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
+        dsp = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1)).dsp
         assert fro(dagger(dsp.embed_h) @ dsp.embed_h - np.eye(2)) < 1e-12
 
     def test_margin_beyond_horizon_rejected(self, corner_pair):
@@ -385,18 +378,17 @@ class TestDilationSpace:
 
 
 class TestLiftedOperators:
-    def test_identity_pair_operators_are_identity(self, scalar_identity_pipeline):
-        sys_, _, dsp = scalar_identity_pipeline
-        res = lift_operators(dsp, sys_)
-        for g in grid_points(dsp.margin):
+    def test_identity_pair_operators_are_identity(self, scalar_identity):
+        res = scalar_identity
+        for g in grid_points(res.dsp.margin):
             for v in res.v_blocks_for(g):
                 assert fro(v - np.eye(1)) < 1e-12
             assert fro(res.alpha(g, np.eye(1)) - np.eye(1)) < 1e-12
 
     def test_zx_alpha_is_word_conjugation(self, zx_pair):
         theta, phi = zx_pair
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+        dsp = res.dsp
         e = dsp.embed_h
         for g in grid_points(GridPoint(1, 1)):
             word = np.linalg.matrix_power(theta.ops[0], g.a) @ np.linalg.matrix_power(
@@ -410,8 +402,8 @@ class TestLiftedOperators:
     def test_lift_shifts_generators(self, name):
         # V_g(e_w) sends the generator (u, zeta tensor h) to
         # (g + u, (e_w . zeta) tensor h) for every u <= horizon - g.
-        sys_, _, dsp = pipeline(*named_pair(name), GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*named_pair(name), GridPoint(2, 2), GridPoint(1, 1))
+        sys_, dsp = res.sys, res.dsp
         n = sys_.dim_h
         for g in grid_points(dsp.margin):
             for u in grid_points(dsp.horizon - g):
@@ -426,34 +418,29 @@ class TestLiftedOperators:
         # N = 1922 generators and dim K = 512: nothing of size N x N may be formed.
         family = CommutingFamily(2, np.random.default_rng(5))
         theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
-        sys_ = make_system(theta, phi)
         start = time.perf_counter()
-        big, sys_ = build_big_space(sys_, GridPoint(4, 4))
-        dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(4, 4), GridPoint(1, 1))
         assert time.perf_counter() - start < 3.0
-        assert big.total_dim == 1922 and dsp.dim_k == 512
+        assert res.dsp.big.total_dim == 1922 and res.dsp.dim_k == 512
         assert len(res.v_blocks_for(GridPoint(1, 1))) == 4
 
     def test_out_of_margin_rejected(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         with pytest.raises(OutOfHorizonError):
             res.v_blocks_for(GridPoint(2, 0))
 
     def test_word_stack_is_a_view_of_one_product(self, corner_pair):
         # fiber_dim((1, 0)) = 2: the stack of two V_g(e_w) and the wide
         # product [V_1 V_2] that alpha and verify_e_dilation read share memory.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         v = res.v_blocks_for(GridPoint(1, 0))
         assert len(v) == 2
         assert np.shares_memory(dilation._hstack(v), v)
 
     def test_alpha_routes_agree_on_embedded_arguments(self, corner_pair):
         # Lifted V_g route vs exact generator-block route.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
+        dsp = res.dsp
         rng = np.random.default_rng(3)
         for g in grid_points(dsp.margin):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -462,8 +449,7 @@ class TestLiftedOperators:
             assert fro(via_v - via_blocks) < 1e-10
 
     def test_endomorphism_on_matrix_units(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         g = GridPoint(1, 0)
         units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
         for idx, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
@@ -478,24 +464,20 @@ class TestLiftedOperators:
 
 
 class TestVerification:
-    def test_identity_pair_report_all_zero(self, scalar_identity_pipeline):
-        sys_, _, dsp = scalar_identity_pipeline
+    def test_identity_pair_report_all_zero(self, scalar_identity):
         theta = identity_channel(1)
-        res = lift_operators(dsp, sys_)
-        rep = verify_e_dilation(res, theta, theta, GridPoint(1, 1))
+        rep = verify_e_dilation(scalar_identity, theta, theta, GridPoint(1, 1))
         assert rep.passed
         assert rep.dilation_residual < 1e-12
 
     def test_zx_pair_passes(self, zx_pair):
-        sys_, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
         rep = verify_e_dilation(res, *zx_pair, GridPoint(1, 1))
         assert rep.passed
         assert rep.p_increase_min_eig > -1e-10
 
     def test_zx_pair_wide_grid_limit(self, zx_pair):
-        sys_, _, dsp = pipeline(*zx_pair, GridPoint(3, 3), GridPoint(2, 2))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*zx_pair, GridPoint(3, 3), GridPoint(2, 2))
         rep = verify_e_dilation(res, *zx_pair, GridPoint(2, 2), tol=1e-10)
         assert rep.passed
 
@@ -503,16 +485,14 @@ class TestVerification:
         family = CommutingFamily(2, rng)
         theta = KrausFamily(2, (family.member(),))
         phi = KrausFamily(2, (family.member(),))
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(3, 3), GridPoint(2, 2))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(3, 3), GridPoint(2, 2))
         rep = verify_e_dilation(res, theta, phi, GridPoint(2, 2))
         assert rep.passed
 
     def test_compression_order_telescopes(self, corner_pair):
         # P_g then P_h through the dilation equals P_{g+h}.
         theta, phi = corner_pair
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
         g, h = GridPoint(1, 0), GridPoint(0, 1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -522,8 +502,7 @@ class TestVerification:
         assert fro(p_g_then_h - p_gh) < 1e-10
 
     def test_grid_limit_beyond_margin_rejected(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         with pytest.raises(OutOfHorizonError):
             verify_e_dilation(res, *corner_pair, GridPoint(2, 2))
 
@@ -532,8 +511,8 @@ class TestVerification:
         # alpha_g(1) = 1 holds globally even at a finite horizon. The isometry
         # side is where truncation is real: V_g(x)* V_g(x) is the proper
         # projection onto the valid generator span, not the identity.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
+        dsp = res.dsp
         g = GridPoint(1, 1)
         alpha_id = res.alpha(g, np.eye(dsp.dim_k, dtype=complex))
         assert fro(alpha_id - np.eye(dsp.dim_k)) < 1e-10
@@ -550,8 +529,7 @@ class TestVerification:
         family = CommutingFamily(2, rng)
         theta = mix_of_unitaries(family, 2)
         phi = KrausFamily(2, (family.member(),))
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
         rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
         assert rep.passed
         # Cross-check the dilation identity against the direct Kraus powers.
@@ -562,23 +540,19 @@ class TestVerification:
 
 
 class TestMinimality:
-    def test_identity_pair_span_is_one(self, scalar_identity_pipeline):
-        sys_, _, dsp = scalar_identity_pipeline
-        res = lift_operators(dsp, sys_)
-        rep = minimality_check(res)
+    def test_identity_pair_span_is_one(self, scalar_identity):
+        rep = minimality_check(scalar_identity)
         assert rep.span_dim == 1 and rep.span_full
         assert rep.commutant_dim == 1
 
     def test_zx_pair_span_two_at_depth_one(self, zx_pair):
-        sys_, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
         rep = minimality_check(res)
         assert rep.span_dim == rep.dim_k == 2
         assert rep.commutant_dim == 1
 
     def test_corner_pair_commutant_is_scalars(self, corner_pair):
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(2, 2), GridPoint(1, 1))
         rep = minimality_check(res)
         assert rep.span_dim == rep.dim_k and rep.span_full
         assert rep.commutant_dim == 1 and rep.passed
@@ -589,8 +563,7 @@ class TestMinimality:
         # B(K) has no proper invariant subspace: with a scalar commutant the
         # span is K, read off the one commutant solve with no SVD of a pile
         # of words.
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(3, 3), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(3, 3), GridPoint(1, 1))
         solves = []
         solve = dilation._block_commutant
         monkeypatch.setattr(
@@ -612,8 +585,7 @@ class TestMinimality:
         # stack of all 64 generators alpha_g(e_rc) 16 MiB.
         family = CommutingFamily(2, np.random.default_rng(5))
         theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 2)
-        sys_, _, dsp = pipeline(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
@@ -635,8 +607,8 @@ class TestMinimality:
         # The generators are read from the stored factor blocks: no
         # transposed copy of them, and no (n dim K)^2 outer product per grid
         # point, is made (7.25 n^2 dim K^2 16 B with both, 5.75 without).
-        sys_, _, dsp = pipeline(*corner_pair, GridPoint(7, 0), GridPoint(0, 0))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*corner_pair, GridPoint(7, 0), GridPoint(0, 0))
+        sys_, dsp = res.sys, res.dsp
         n, d = sys_.dim_h, dsp.dim_k
         assert d == 256
         tracemalloc.start()
@@ -815,8 +787,7 @@ class TestCommutant:
         assert peak < 0.01 * 16 * d**4
 
     def test_minimality_check_raises_over_cap(self, zx_pair, monkeypatch):
-        sys_, _, dsp = pipeline(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
-        res = lift_operators(dsp, sys_)
+        res = lifted(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))
         monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 1)
         tracemalloc.start()
         try:
@@ -828,6 +799,23 @@ class TestCommutant:
         # Refused on the solve's size, before its operator is allocated:
         # about 8 KiB of blocks and frames are held.
         assert peak < 2**16
+
+    def test_minimality_check_refuses_dim_k_before_its_random_element(
+        self, corner_pair, monkeypatch
+    ):
+        # The unknowns are at least dim K = 256, so a cap of 255 refuses the
+        # solve before the 1 MiB random element and its eigh are formed.
+        res = lifted(*corner_pair, GridPoint(7, 0), GridPoint(0, 0))
+        assert res.dsp.dim_k == 256
+        monkeypatch.setattr(dilation, "MAX_COMMUTANT_UNKNOWNS", 255)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="dim K = 256 unknowns, over the cap 255"):
+                minimality_check(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -854,10 +842,10 @@ class TestCommutant:
         # dim K <= 32 keeps the d^4 oracle small.
         assume(lengths[0] ** horizon[0] * lengths[1] ** horizon[1] <= 16)
         horizon = GridPoint(*horizon)
-        sys_, big, dsp = pipeline(theta, phi, horizon, GridPoint(1, 1))
-        assert_factor_matches_oracle(sys_, big, dsp)
-        res = lift_operators(dsp, sys_)
+        res = lifted(theta, phi, horizon, GridPoint(1, 1))
+        assert_factor_matches_oracle(res)
         rep = minimality_check(res)
+        dsp = res.dsp
         # The oracle's generators come from the explicit kron formula.
         gens = np.stack(
             [oracle_alpha_corner(res, g, m) for g in grid_points(horizon) for m in _units_of(2)]
@@ -885,7 +873,66 @@ class TestCommutant:
             ((2, 2), (32, 121, 1764)),
         )
         for horizon, want in pinned:
-            sys_, _, dsp = pipeline(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
-            res = lift_operators(dsp, sys_)
+            res = lifted(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
             rep = minimality_check(res)
             assert (rep.span_dim, rep.commutant_dim, rep.closure_dim) == want
+
+
+STAGES = (
+    "build_product_system",
+    "build_big_space",
+    "build_dilation_space",
+    "lift_operators",
+    "verify_e_dilation",
+    "minimality_check",
+)
+
+
+class TestDilate:
+    @pytest.mark.parametrize("name", ["corner", "rotated"])
+    def test_matches_the_stage_chain(self, name):
+        theta, phi = named_pair(name)
+        horizon, margin = GridPoint(2, 2), GridPoint(1, 1)
+        run = dilate(theta, phi, horizon, margin)
+        res = lifted(theta, phi, horizon, margin)
+        assert run.report == verify_e_dilation(res, theta, phi, margin)
+        assert run.minimality == minimality_check(res)
+        assert run.passed == (run.report.passed and run.minimality.passed)
+        assert run.res.v_blocks.keys() == res.v_blocks.keys()
+        for g, stack in res.v_blocks.items():
+            assert np.array_equal(run.res.v_blocks[g], stack)
+        if name == "rotated":
+            assert np.abs(run.res.sys.flip.imag).max() > 0.1
+
+    def test_supplied_certificate_gives_the_same_run(self, corner_pair, monkeypatch):
+        horizon, margin = GridPoint(2, 2), GridPoint(1, 1)
+        cert = strong_commutation_certificate(*corner_pair)
+        computed = dilate(*corner_pair, horizon, margin)
+
+        def refuse(*args):
+            raise AssertionError("the certificate was computed again")
+
+        monkeypatch.setattr(dilation, "strong_commutation_certificate", refuse)
+        run = dilate(*corner_pair, horizon, margin, cert=cert)
+        assert run.cert is cert
+        assert run.report == computed.report and run.minimality == computed.minimality
+        for g, stack in computed.res.v_blocks.items():
+            assert np.array_equal(run.res.v_blocks[g], stack)
+
+    def test_non_commuting_pair_raises(self, rng):
+        theta, phi = random_contractive(2, 2, rng), random_contractive(2, 2, rng)
+        with pytest.raises(NonCommutingError):
+            dilate(theta, phi, GridPoint(1, 1), GridPoint(1, 1))
+
+    def test_each_stage_runs_once(self, zx_pair, monkeypatch):
+        # The stages are looked up on the module at call time, where a tracer
+        # that swaps them finds each one.
+        calls = []
+        for name in STAGES:
+            stage = getattr(dilation, name)
+            monkeypatch.setattr(
+                dilation, name,
+                lambda *a, _name=name, _stage=stage, **k: calls.append(_name) or _stage(*a, **k),
+            )
+        assert dilate(*zx_pair, GridPoint(2, 2), GridPoint(1, 1)).passed
+        assert calls == list(STAGES)

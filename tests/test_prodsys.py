@@ -21,23 +21,16 @@ from cpdilate.prodsys import (
     representation_matrix,
     verify_representation,
 )
-from cpdilate.strongcomm import (
-    StrongCommutationCertificate,
-    strong_commutation_certificate,
-)
+from cpdilate.strongcomm import StrongCommutationCertificate
 
 from conftest import (
     CommutingFamily,
     close,
+    make_system,
     mix_of_unitaries,
     oracle_product_unitary,
     random_unitary,
 )
-
-
-def make_system(theta, phi):
-    cert = strong_commutation_certificate(theta, phi)
-    return build_product_system(theta, phi, cert)
 
 
 @pytest.fixture

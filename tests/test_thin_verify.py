@@ -29,18 +29,13 @@ from cpdilate.dilation import (
     verify_e_dilation,
 )
 from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, dagger, fro, hermitize
-from cpdilate.prodsys import (
-    ZERO,
-    GridPoint,
-    build_product_system,
-    grid_points,
-    verify_representation,
-)
-from cpdilate.strongcomm import strong_commutation_certificate
+from cpdilate.prodsys import ZERO, GridPoint, grid_points, verify_representation
 
 from conftest import (
     CommutingFamily,
     compress,
+    lifted,
+    make_system,
     mix_of_unitaries,
     oracle_product_unitary,
     oracle_span_projector,
@@ -181,16 +176,6 @@ def mix_pair(n, lengths, seed):
     return tuple(mix_of_unitaries(family, k) for k in lengths)
 
 
-def make_system(theta, phi):
-    return build_product_system(theta, phi, strong_commutation_certificate(theta, phi))
-
-
-def lifted(theta, phi, horizon, margin):
-    sys_ = make_system(theta, phi)
-    big, sys_ = build_big_space(sys_, horizon)
-    return sys_, lift_operators(build_dilation_space(big, sys_, margin), sys_)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -205,22 +190,22 @@ def test_residuals_match_loop_oracles(seed, n, lengths, horizon, margin):
     # The oracle costs n^4 fd dim_k^3 per grid point; keep each draw under a second.
     assume(n * lengths[0] ** horizon.a * lengths[1] ** horizon.b <= 54)
     theta, phi = mix_pair(n, lengths, seed)
-    sys_, res = lifted(theta, phi, horizon, margin)
+    res = lifted(theta, phi, horizon, margin)
 
     assert_agree(
         dilation_residuals(verify_e_dilation(res, theta, phi, margin)),
         oracle_verify_e_dilation(res, theta, phi, margin),
     )
     assert_agree(
-        representation_residuals(verify_representation(sys_, horizon)),
-        oracle_verify_representation(sys_, horizon),
+        representation_residuals(verify_representation(res.sys, horizon)),
+        oracle_verify_representation(res.sys, horizon),
     )
 
 
 @pytest.mark.parametrize("n, horizon", [(2, (2, 2)), (3, (1, 2))])
 def test_broken_lift_moves_every_residual(n, horizon):
     theta, phi = mix_pair(n, (2, 2), 7)
-    _, res = lifted(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
     margin = res.dsp.margin
     assert verify_e_dilation(res, theta, phi, margin).passed
     # A V_(1,0) shrunk by 0.9 is no isometry, alpha_(1,0)(1) = 0.81 and
@@ -241,7 +226,7 @@ def test_isometry_sees_overlapping_words():
     # Two words sharing one operator: every diagonal block V_x^* V_x is still
     # P_g, and only the off-diagonal block V_0^* V_1 = P_g shows the defect.
     theta, phi = mix_pair(2, (2, 2), 7)
-    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
     g = GridPoint(1, 1)
     blocks = dict(res.v_blocks)
     blocks[g] = blocks[g].copy()
@@ -258,7 +243,7 @@ def test_isometry_sees_a_generator_outside_the_top_block():
     # generators at horizon - g for g = (1,1): the lift never reads it, so
     # only the generator span shows the defect.
     theta, phi = mix_pair(2, (2, 2), 7)
-    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
     dsp = res.dsp
     gens = dsp.blocks[GridPoint(1, 1)]
     rng = np.random.default_rng(3)
@@ -280,13 +265,12 @@ def test_isometry_sees_a_scaled_top_block(limit):
     # At (1,1) B B^* no longer fixes the lower generators; at (2,2) B is
     # square, there are none to test, and only B^* B != 1 shows the defect.
     theta, phi = mix_pair(2, (2, 2), 7)
-    sys_ = make_system(theta, phi)
-    big, sys_ = build_big_space(sys_, GridPoint(2, 2))
-    dsp = build_dilation_space(big, sys_, GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    dsp = res.dsp
     gens = dsp.blocks[GridPoint(*limit)].copy()
     gens[:, :2] *= 0.9
     blocks = {**dsp.blocks, GridPoint(*limit): gens}
-    broken = lift_operators(dataclasses.replace(dsp, blocks=blocks), sys_)
+    broken = lift_operators(dataclasses.replace(dsp, blocks=blocks), res.sys)
     got = verify_e_dilation(broken, theta, phi, dsp.margin).isometry_residual
     want = oracle_verify_e_dilation(broken, theta, phi, dsp.margin)["isometry"]
     assert got > DEFAULT_VERIFY_TOL and want > DEFAULT_VERIFY_TOL
@@ -302,7 +286,7 @@ def test_oracle_agreement(pair, horizon, shrink):
     else:
         theta, phi = pauli_mix_pair(0.3, 0.6, np.random.default_rng(0))
     horizon = GridPoint(*horizon)
-    _, res = lifted(theta, phi, horizon, GridPoint(1, 1))
+    res = lifted(theta, phi, horizon, GridPoint(1, 1))
     if pair == "wide_r":
         assert res.dsp.dim_k < 2 * res.sys.fiber_dim(GridPoint(1, 1)) + 2
     res = dataclasses.replace(res, v_blocks={g: shrink * v for g, v in res.v_blocks.items()})
@@ -317,7 +301,7 @@ def test_verify_decomposes_only_thin_problems(monkeypatch):
     # M_2 mix/mix at (2,2): dim K = 32, while [A E] at g = (1,1) has
     # n fd + n = 10 columns; no eigendecomposition may be larger.
     theta, phi = mix_pair(2, (2, 2), 7)
-    _, res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(2, 2), GridPoint(1, 1))
     bound = 2 * res.sys.fiber_dim(GridPoint(1, 1)) + 2
     assert res.dsp.dim_k > bound
     sizes = []
@@ -370,7 +354,7 @@ def test_broken_representation_moves_every_residual(defect, monkeypatch):
 def test_wide_fiber_verifies_in_under_a_second():
     # M_3 mix/mix at (3,3): dim K = 192 and 81 products per grid point.
     theta, phi = mix_pair(3, (2, 2), 5)
-    _, res = lifted(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
+    res = lifted(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
     assert res.dsp.dim_k == 192
     start = time.perf_counter()
     rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
