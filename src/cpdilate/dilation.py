@@ -241,13 +241,11 @@ class DilationReport:
 
 
 def _outer_units(a: Array) -> Array:
-    """All A_r A_c^* of a (n, rows, cols) stack, as an (n*rows) x (n*rows) matrix.
-
-    Block (r, c) is A_r A_c^*, so for the thin factor of alpha_g it is
-    alpha_g(embed e_rc).
-    """
-    flat = a.reshape(-1, a.shape[2])
-    return flat @ dagger(flat)
+    """All A_r A_c^* of a (..., n, rows, cols) stack, as (..., n*rows, n*rows)
+    matrices. Block (r, c) is A_r A_c^*, so for the thin factor of alpha_g it
+    is alpha_g(embed e_rc)."""
+    flat = a.reshape(*a.shape[:-3], -1, a.shape[-1])
+    return flat @ flat.conj().swapaxes(-1, -2)
 
 
 def verify_e_dilation(
@@ -267,7 +265,8 @@ def verify_e_dilation(
     exact (generators below horizon - g), which on the infinite grid is the
     identity. With B = T_{horizon - g}^*, the generators at horizon - g, the
     residual also takes ||B^* B - 1|| and ||f_s - B B^* f_s|| for every other
-    block f_s below (implied by the first when B is square). Once both vanish
+    block f_s below (implied by the first when B is square), all lower blocks
+    in one GEMM pair with a segment sum per block. Once both vanish
     B B^* is that projector, and V_x^* V_y, y >= x, is compared with
     delta_xy B B^*: the lift is checked against the generator columns, not
     against the T^* T it was built from.
@@ -278,11 +277,16 @@ def verify_e_dilation(
     from it: dilation e^* A_r A_c^* e against Kraus iteration of theta and
     phi; multiplicativity A_i (A_j^* A_k - delta_jk I) A_l^*; semigroup
     B_r B_c^* - A'_r A'_c^* with B = V_g A of alpha_h and A' of alpha_{g+h};
-    alpha_g(p) = sum_r A_r A_r^*. Each norm is still taken of the explicit
-    dim_k x dim_k difference. Coisometry and isometry use the full V_g. The
-    p-increase gap A A^* - E E^* = M S M^*, M = [A E], S = diag(1, -1), has
-    the nonzero spectrum of R S R^* for the R factor of M, which decides
-    min(0, its smallest eigenvalue) as an (n fd + n)-square problem.
+    alpha_g(p) = sum_r A_r A_r^*. The Frobenius norm is unitarily invariant,
+    so the two dim_k x dim_k differences are taken in R coordinates: with
+    A_i = Q_i R_i, multiplicativity is R_i D_jk R_l^*, D_jk = A_j^* A_k -
+    delta_jk I, and with [B_r A'_r] = Q_r [R^B_r R^A_r], one batched QR over
+    every split of a grid point, semigroup is R^B_r R^B_c^* - R^A_r R^A_c^*;
+    each norm is still of an explicit difference. Coisometry and isometry
+    use the full V_g. The p-increase gap A A^* - E E^* = M S M^*, M = [A E],
+    S = diag(1, -1), has the nonzero spectrum of R S R^* for the R factor of
+    M, which decides min(0, its smallest eigenvalue) as an (n fd + n)-square
+    problem.
     """
     dsp, sys = res.dsp, res.sys
     if not grid_limit <= dsp.margin:
@@ -291,7 +295,6 @@ def verify_e_dilation(
         )
     n, k, e = sys.dim_h, dsp.dim_k, dsp.embed_h
     pts = grid_points(grid_limit)
-    eye_k = np.eye(k, dtype=complex)
     # thin[g][r] = A_r, shape (n, dim_k, fiber_dim(g)).
     thin = {g: (res.v_blocks_for(g) @ e).transpose(2, 1, 0) for g in pts}
 
@@ -308,26 +311,29 @@ def verify_e_dilation(
         diff = power - corner.reshape(n * n, n, n)
         dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
 
-        # One (j, k) pair at a time keeps each temporary at n^2 dim_k^2 entries.
+        # d[j, m] = A_j^* A_m - delta_jm I; block (i, j, m; l) is R_i d[j, m] R_l^*.
         wide_a = _hstack(a)
-        gram = (dagger(wide_a) @ wide_a).reshape(n, fd, n, fd)
-        flat = a.reshape(n * k, fd)
-        flat_h = dagger(flat)
-        for j in range(n):
-            for kk in range(n):
-                d = gram[j, :, kk, :] - (np.eye(fd) if j == kk else 0.0)
-                mult = max(mult, max_block_fro(flat @ d @ flat_h, n, k))
+        d = (dagger(wide_a) @ wide_a - np.eye(n * fd)).reshape(n, fd, n, fd).transpose(0, 2, 1, 3)
+        r = np.linalg.qr(a, mode="r")
+        sandwich = (r[:, None, None] @ d).reshape(-1, fd) @ dagger(r.reshape(-1, fd))
+        mult = max(mult, max_block_fro(sandwich, n**3, r.shape[1]))
 
         wide = _hstack(v)
-        coiso = max(coiso, fro(wide @ dagger(wide) - eye_k))
+        gram = wide @ dagger(wide)
+        gram.flat[::k + 1] -= 1.0
+        coiso = max(coiso, fro(gram))
         limit = dsp.horizon - g
         gens = dsp.blocks[limit]
         gens_h = dagger(gens)
         iso = max(iso, fro(gens_h @ gens - np.eye(gens.shape[1])))
-        if gens.shape[1] < k:
-            for s, f in dsp.blocks.items():
-                if f is not gens and s <= limit:
-                    iso = max(iso, fro(f - gens @ (gens_h @ f)))
+        lower = [f for s, f in dsp.blocks.items() if s <= limit and s != limit]
+        if gens.shape[1] < k and lower:
+            low = np.hstack(lower)
+            off = (low - gens @ (gens_h @ low)).view(np.float64)
+            starts = np.cumsum([0] + [2 * f.shape[1] for f in lower[:-1]])
+            sq = np.add.reduceat(np.einsum("ij,ij->j", off, off), starts)
+            iso = max(iso, float(np.sqrt(sq.max())))
+            del low, off  # before the row products
         p_g = gens @ gens_h
         for x in range(fd):
             # Block row x of [V]^*[V] from block x on: V_x^* V_y = delta_xy P_g.
@@ -341,14 +347,18 @@ def verify_e_dilation(
 
     semi = 0.0
     for s in pts:
-        # alpha_s on every unit, formed once and compared with each split g + h = s.
-        outer = _outer_units(thin[s])
-        for g in grid_points(s):
+        # [B_r A'_r] for every split g + h = s and unit r: B of alpha_g alpha_h, A' of alpha_s.
+        fd = thin[s].shape[2]
+        splits = grid_points(s)
+        pair = np.empty((len(splits), n, k, 2 * fd), dtype=complex)
+        pair[..., fd:] = thin[s]
+        for i, g in enumerate(splits):
             a_h = thin[s - g]
             b = res.v_blocks_for(g) @ _hstack(a_h)  # (fd_g, dim_k, n fd_h)
-            b = b.reshape(-1, k, n, a_h.shape[2]).transpose(2, 1, 0, 3).reshape(n, k, -1)
-            diff = _outer_units(b) - outer
-            semi = max(semi, max_block_fro(diff, n, k))
+            pair[i, ..., :fd] = b.reshape(len(b), k, n, -1).transpose(2, 1, 0, 3).reshape(n, k, -1)
+        r = np.linalg.qr(pair, mode="r")
+        diff = _outer_units(r[..., :fd]) - _outer_units(r[..., fd:])
+        semi = max(semi, max_block_fro(diff, len(splits) * n, r.shape[2]))
 
     return DilationReport(
         gram_min_eig=dsp.gram_min_eig,

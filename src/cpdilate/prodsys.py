@@ -302,6 +302,11 @@ def verify_representation(
         rep_{g1} (I tensor rep_{g2}); (3) when both maps are unital, each
         rep_g is a coisometry.
 
+    (1) and (3) take one GEMM per grid point: with R_r the n x dim X(g)
+    column r of the words, block (r, c) of [R_1 .. R_n]^T conj([R_1 .. R_n])
+    is R_r R_c^* = rep_g (I tensor e_rc) rep_g^*, and rep_g rep_g^* is the
+    sum of its diagonal blocks.
+
     Raises CapExceededError, before any word operator is built, when the sum
     of dim X(g) tensor H over the grid passes cap.
     """
@@ -316,14 +321,15 @@ def verify_representation(
     ident = 0.0
     coiso = 0.0
     for g, power in _kraus_grid(sys.theta, sys.phi, horizon, _matrix_units(n)):
-        rep = reps[g.key()]
-        # rep (I tensor e_rc) rep^* = sum_w W_w e_rc W_w^*, for all units at once.
-        diff = np.einsum("iwr,jwc->rcij", rep, rep.conj()).reshape(n * n, n, n)
-        diff -= power
-        ident = max(ident, max_block_fro(diff.reshape(-1, n), n * n, n))
+        # Rows (r, i) of flat are R_r = rep_g[:, :, r]; block (r, c) of units is R_r R_c^*.
+        flat = reps[g.key()].transpose(2, 0, 1).reshape(n * n, -1)
+        units = flat @ dagger(flat)
         if unital:
-            flat = rep.reshape(n, -1)
-            coiso = max(coiso, fro(flat @ dagger(flat) - np.eye(n)))
+            gram = np.einsum("rirj->ij", units.reshape(n, n, n, n)) - np.eye(n)
+            coiso = max(coiso, fro(gram))
+        units -= power.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        ident = max(ident, max_block_fro(units, n, n))
+        del units  # before the next Kraus step
 
     # Int keys and inline product maps: Sigma(b1, a2) is looked up once per a2,
     # and a split costs a GEMM only where it is not the identity.

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cpdilate.dilation import build_big_space, build_dilation_space, lift_operat
 from cpdilate.prodsys import build_product_system
 from cpdilate.strongcomm import strong_commutation_certificate
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import cpdilate
 from cpdilate import cli, dilation, prodsys
 from cpdilate.chan import (
     KrausFamily,
@@ -22,9 +26,7 @@ from cpdilate.chan import (
 from cpdilate.cli import build_parser, main
 from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL
 
-from conftest import CommutingFamily, mix_of_unitaries
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from conftest import FIXTURES, CommutingFamily, mix_of_unitaries
 
 
 def _not_json(name):
@@ -625,3 +627,21 @@ def test_fuzzed_inputs_exit_by_contract(command, documents, combined, tolerances
         assert _failed_verification(report), report
     elif code == 2:
         assert "error" in report and "command" not in report
+
+
+def test_cli_import_loads_only_stdlib_and_numpy():
+    # Every CLI call pays for its imports: `import cpdilate.cli` in a fresh
+    # interpreter may load the standard library, numpy and cpdilate, nothing else.
+    code = (
+        "import sys; before = set(sys.modules); import cpdilate.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cpdilate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "cpdilate.cli" in out
+    tops = {name.partition(".")[0] for name in out}
+    assert tops - set(sys.stdlib_module_names) - {"numpy", "cpdilate"} == set()

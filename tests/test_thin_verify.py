@@ -10,6 +10,7 @@ dim_k x dim_k gap, so the fast path is never checked against itself.
 
 import collections
 import dataclasses
+import json
 import time
 import tracemalloc
 
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpdilate import prodsys
-from cpdilate.chan import KrausFamily, apply_kraus, classify
+from cpdilate.chan import KrausFamily, apply_kraus, channel_from_json, classify, identity_channel
 from cpdilate.dilation import (
     PSD_FLOOR,
     build_big_space,
@@ -32,8 +33,10 @@ from cpdilate.linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, dagger, fro, hermit
 from cpdilate.prodsys import ZERO, GridPoint, grid_points, verify_representation
 
 from conftest import (
+    FIXTURES,
     CommutingFamily,
     compress,
+    corner_collapse_channel,
     lifted,
     make_system,
     mix_of_unitaries,
@@ -202,9 +205,12 @@ def test_residuals_match_loop_oracles(seed, n, lengths, horizon, margin):
     )
 
 
-@pytest.mark.parametrize("n, horizon", [(2, (2, 2)), (3, (1, 2))])
+@pytest.mark.parametrize("n, horizon", [(2, (2, 2)), (3, (1, 2)), ("pauli", (2, 2))])
 def test_broken_lift_moves_every_residual(n, horizon):
-    theta, phi = mix_pair(n, (2, 2), 7)
+    if n == "pauli":
+        theta, phi = pauli_mix_pair(0.3, 0.6, np.random.default_rng(0))
+    else:
+        theta, phi = mix_pair(n, (2, 2), 7)
     res = lifted(theta, phi, GridPoint(*horizon), GridPoint(1, 1))
     margin = res.dsp.margin
     assert verify_e_dilation(res, theta, phi, margin).passed
@@ -297,6 +303,72 @@ def test_oracle_agreement(pair, horizon, shrink):
         assert got["isometry"] > DEFAULT_VERIFY_TOL
 
 
+def _fixture_pair(*names):
+    return tuple(
+        channel_from_json(json.loads((FIXTURES / f"channel_{name}.json").read_text()))
+        for name in names
+    )
+
+
+def _min_rank(res, g, compress_to_h=False):
+    """The smallest rank among the thin factors A_r of alpha_g, or among
+    their compressions e^* A_r to H."""
+    e = res.dsp.embed_h
+    thin = (res.v_blocks_for(g) @ e).transpose(2, 1, 0)
+    if compress_to_h:
+        thin = dagger(e) @ thin
+    return min(np.linalg.matrix_rank(a, tol=1e-10) for a in thin)
+
+
+R_COORDINATE_CASES = {
+    # Kraus columns e^* A_r of rank below dim X(g): the corner map kills
+    # e_11, and three commuting unitaries on M_2 are linearly dependent.
+    "corner": (lambda: (corner_collapse_channel(), identity_channel(2)), (2, 2), (1, 1)),
+    "mix3": (lambda: _fixture_pair("mix3_a", "mix3_b"), (2, 1), (1, 1)),
+    # Scalars at margin = horizon: dim K = 4 < 2 dim X(1,1) = 8, so the
+    # semigroup QR of [B_r A'_r] returns a wide R.
+    "wide_r": (lambda: mix_pair(1, (2, 2), 3), (1, 1), (1, 1)),
+    # Words that anticommute: the flip has complex entries.
+    "pauli": (lambda: pauli_mix_pair(0.3, 0.6, np.random.default_rng(0)), (2, 2), (1, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "case, defect",
+    # test_oracle_agreement covers the honest and the shrunk pauli pair.
+    [(c, d) for c in ("corner", "mix3", "wide_r") for d in (None, "shrink", "overlap")]
+    + [("pauli", "overlap")],
+)
+def test_r_coordinate_residuals_match_oracle(case, defect):
+    # Multiplicativity and semigroup are measured in the R factors of thin
+    # QRs; [B_r A'_r] has rank dim X(g) of its 2 dim X(g) columns whenever
+    # the semigroup law holds. An overlap defect (word 1 of V_g set to word
+    # 0) makes the thin factors A_r themselves rank-deficient.
+    make, horizon, margin = R_COORDINATE_CASES[case]
+    theta, phi = make()
+    margin = GridPoint(*margin)
+    res = lifted(theta, phi, GridPoint(*horizon), margin)
+    fd = res.sys.fiber_dim(margin)
+    if case == "wide_r":
+        assert res.dsp.dim_k < 2 * fd
+    elif case != "pauli":
+        assert _min_rank(res, margin, compress_to_h=True) < fd
+    blocks = dict(res.v_blocks)
+    if defect == "shrink":
+        blocks = {g: 0.9 * v for g, v in blocks.items()}
+    elif defect == "overlap":
+        blocks[margin] = blocks[margin].copy()
+        blocks[margin][1] = blocks[margin][0]
+    res = dataclasses.replace(res, v_blocks=blocks)
+    if defect == "overlap":
+        assert _min_rank(res, margin) < fd
+    got = dilation_residuals(verify_e_dilation(res, theta, phi, margin))
+    assert_agree(got, oracle_verify_e_dilation(res, theta, phi, margin))
+    if defect:
+        assert got["multiplicativity"] > DEFAULT_VERIFY_TOL
+        assert got["semigroup"] > DEFAULT_VERIFY_TOL
+
+
 def test_verify_decomposes_only_thin_problems(monkeypatch):
     # M_2 mix/mix at (2,2): dim K = 32, while [A E] at g = (1,1) has
     # n fd + n = 10 columns; no eigendecomposition may be larger.
@@ -360,6 +432,18 @@ def test_wide_fiber_verifies_in_under_a_second():
     rep = verify_e_dilation(res, theta, phi, GridPoint(1, 1))
     assert time.perf_counter() - start < 1.0
     assert rep.passed
+
+
+def test_verify_memory_at_dim_k_512():
+    # M_2 mix/mix at (4,4): no (n dim K)^2 outer product, so the traced peak
+    # stays under 12 dim K^2 complex entries (48 MiB); forming that product
+    # and its difference for the semigroup check took 61.5 MiB.
+    theta, phi = mix_pair(2, (2, 2), 5)
+    res = lifted(theta, phi, GridPoint(4, 4), GridPoint(1, 1))
+    k = res.dsp.dim_k
+    assert k == 512
+    peak = _traced_peak(lambda: verify_e_dilation(res, theta, phi, GridPoint(1, 1)))
+    assert peak < 12 * k * k * 16
 
 
 def test_broken_flip_moves_homomorphism_residual():
@@ -464,3 +548,14 @@ def test_representation_memory_does_not_grow_with_the_grid():
     small = _traced_peak(lambda: verify_representation(sys_, GridPoint(1, 1)))
     large = _traced_peak(lambda: verify_representation(sys_, GridPoint(4, 4)))
     assert large < small + 2**20
+
+
+def test_representation_memory_does_not_grow_with_the_fiber():
+    # M_16 with Kraus lengths (2, 1) at (7, 0): 4080 of the 4096 the fiber cap
+    # allows, and fibers up to 128-dimensional. Each theta^a of the 256 matrix
+    # units is a 1 MiB stack; a per-word product of them, 128 times that, would
+    # take 128 MiB at the last point.
+    sys_ = make_system(*mix_pair(16, (2, 1), 2))
+    horizon = GridPoint(7, 0)
+    assert sys_.fiber_dim(horizon) == 128
+    assert _traced_peak(lambda: verify_representation(sys_, horizon)) < 16 * 2**20
