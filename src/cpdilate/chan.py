@@ -30,6 +30,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Array,
+    CompletionError,
     complete_orthonormal,
     dagger,
     fro,
@@ -60,12 +61,6 @@ class NotSameChannelError(ValueError):
     def __init__(self, deviation: float):
         self.deviation = deviation
         super().__init__(f"Kraus families define different maps (Choi deviation {deviation:.3e})")
-
-
-class EquivalenceCompletionError(RuntimeError):
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"unitary completion failed (residual {residual:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +285,7 @@ def _equivalence_unitary(ra: Array, rb: Array, tol: float) -> Array:
         cross = cross + pa @ dagger(pb)
     unitarity = fro(dagger(u) @ u - np.eye(length))
     if unitarity > _COMPLETION_GUARD:
-        raise EquivalenceCompletionError(unitarity)
+        raise CompletionError(f"unitary completion failed (residual {unitarity:.3e})")
     w, _, vh = np.linalg.svd(cross)
     return w @ vh
 

@@ -17,6 +17,7 @@ tolerance can be overridden with the CPDILATE_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -132,30 +133,29 @@ def _grid(values) -> GridPoint:
     return GridPoint(int(values[0]), int(values[1]))
 
 
+def _fields(obj) -> dict:
+    """The fields of a library dataclass as report entries: a GridPoint as
+    [a, b] and an array as chan.matrix_to_json."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, GridPoint):
+            value = list(value.key())
+        elif isinstance(value, np.ndarray):
+            value = chan.matrix_to_json(value)
+        out[f.name] = value
+    return out
+
+
 def cmd_classify(args) -> tuple[int, dict]:
-    fam = _load_channel(args.channel, args.tol)
-    rep = chan.classify(fam, args.tol)
-    return 0, {
-        "command": "classify",
-        "is_cp": rep.is_cp,
-        "is_unital": rep.is_unital,
-        "is_contractive": rep.is_contractive,
-        "min_choi_eigenvalue": rep.min_choi_eigenvalue,
-        "unitality_residual": rep.unitality_residual,
-        "tol": rep.tol,
-    }
+    rep = chan.classify(_load_channel(args.channel, args.tol), args.tol)
+    return 0, {"command": "classify", **_fields(rep)}
 
 
 def cmd_commute(args) -> tuple[int, dict]:
-    a = _load_channel(args.channels[0], args.tol)
-    b = _load_channel(args.channels[1], args.tol)
+    a, b = (_load_channel(path, args.tol) for path in args.channels)
     rep = check_commute(a, b, args.tol)
-    return (0 if rep.commute else 1), {
-        "command": "commute",
-        "commute": rep.commute,
-        "residual": rep.residual,
-        "tol": rep.tol,
-    }
+    return (0 if rep.commute else 1), {"command": "commute", **_fields(rep)}
 
 
 def _diagonal_strong_commute(args, p, q) -> tuple[int, dict]:
@@ -185,27 +185,12 @@ def cmd_strong_commute(args) -> tuple[int, dict]:
             args, *(_stochastic_from(data, path, args.tol) for data, path in loaded)
         )
     theta, phi = (_channel_from(data, path, args.tol) for data, path in loaded)
+    head = {"command": "strong-commute", "route": "certificate", "tol": args.tol}
     try:
         cert = strong_commutation_certificate(theta, phi, args.tol)
     except NonCommutingError as exc:
-        return 1, {
-            "command": "strong-commute",
-            "route": "certificate",
-            "strongly_commute": False,
-            "error": str(exc),
-            "tol": args.tol,
-        }
-    return 0, {
-        "command": "strong-commute",
-        "route": "certificate",
-        "strongly_commute": True,
-        "m": cert.m,
-        "n": cert.n,
-        "u": chan.matrix_to_json(cert.u),
-        "unitarity_residual": cert.unitarity_residual,
-        "intertwining_residual": cert.intertwining_residual,
-        "tol": args.tol,
-    }
+        return 1, {**head, "strongly_commute": False, "error": str(exc)}
+    return 0, {**head, "strongly_commute": True, **_fields(cert)}
 
 
 def cmd_stochastic(args) -> tuple[int, dict]:
@@ -239,22 +224,11 @@ def cmd_stochastic(args) -> tuple[int, dict]:
 
 
 def cmd_prodsys(args) -> tuple[int, dict]:
-    theta = _load_channel(args.channels[0], args.tol)
-    phi = _load_channel(args.channels[1], args.tol)
+    theta, phi = (_load_channel(path, args.tol) for path in args.channels)
     cert = strong_commutation_certificate(theta, phi, args.tol)
     system = build_product_system(theta, phi, cert, args.tol)
     rep = verify_representation(system, _grid(args.horizon), args.verify_tol, args.cap)
-    report = {
-        "command": "prodsys",
-        "horizon": [rep.horizon.a, rep.horizon.b],
-        "identity_residual": rep.identity_residual,
-        "homomorphism_residual": rep.homomorphism_residual,
-        "coisometry_residual": rep.coisometry_residual,
-        "unital": rep.unital,
-        "passed": rep.passed,
-        "tol": rep.tol,
-    }
-    return (0 if rep.passed else 1), report
+    return (0 if rep.passed else 1), {"command": "prodsys", **_fields(rep), "passed": rep.passed}
 
 
 def _load_dilate_inputs(args):
@@ -271,8 +245,11 @@ def _load_dilate_inputs(args):
     if "certificate" in data:
         if not isinstance(data["certificate"], dict) or "u" not in data["certificate"]:
             raise InputError(f"{path}: 'certificate' needs a 'u' matrix")
-        u = chan.matrix_from_json(data["certificate"]["u"])
-        chk = verify_certificate(theta, phi, SimpleNamespace(u=u), args.tol)  # reads only u
+        try:
+            u = chan.matrix_from_json(data["certificate"]["u"])
+            chk = verify_certificate(theta, phi, SimpleNamespace(u=u), args.tol)  # reads only u
+        except (OverflowError, ValueError) as exc:  # also an integer past float range
+            raise InputError(f"{path}: 'certificate': {exc}") from exc
         if not chk.passed:
             raise InputError(
                 f"{path}: supplied certificate fails verification "

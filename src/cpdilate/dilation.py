@@ -65,6 +65,8 @@ from .prodsys import (
     _kraus_grid,
     _left_multiply,
     _matrix_units,
+    _outer_units,
+    _unit_block_residual,
     _word_operators,
     build_product_system,
     grid_points,
@@ -74,7 +76,6 @@ from .strongcomm import StrongCommutationCertificate, strong_commutation_certifi
 # Floor below zero allowed for p_increase_min_eig.
 PSD_FLOOR = 1e-10
 DEFAULT_BIG_CAP = 8192
-_UNITAL_GUARD = 1e-8
 
 
 class OutOfHorizonError(ValueError):
@@ -150,7 +151,7 @@ def build_dilation_space(
     if not (margin <= big.horizon):
         raise OutOfHorizonError(f"margin {margin.key()} exceeds horizon {big.horizon.key()}")
     for fam, name in ((sys.theta, "first"), (sys.phi, "second")):
-        if not fam.unitality_residual <= _UNITAL_GUARD:
+        if not fam.unitality_residual <= DEFAULT_VERIFY_TOL:
             raise ValueError(f"dilation requires unital maps; the {name} map is not")
 
     words = _word_operators(sys, big.horizon)
@@ -158,7 +159,7 @@ def build_dilation_space(
     blocks = {}
     for s in big.points:
         # rep_r^* has rows (X(r), H): block w is W_w^*.
-        rep_h = words[top - s].conj().transpose(0, 2, 1).reshape(-1, n)
+        rep_h = dagger(words[top - s]).reshape(-1, n)
         blocks[s] = _left_multiply(sys, s, top - s, rep_h)
     return DilationSpace(
         big=big, margin=margin, blocks=blocks, dim_k=big.dims[top], embed_h=blocks[ZERO]
@@ -240,14 +241,6 @@ class DilationReport:
         return worst <= self.tol and self.p_increase_min_eig >= -PSD_FLOOR
 
 
-def _outer_units(a: Array) -> Array:
-    """All A_r A_c^* of a (..., n, rows, cols) stack, as (..., n*rows, n*rows)
-    matrices. Block (r, c) is A_r A_c^*, so for the thin factor of alpha_g it
-    is alpha_g(embed e_rc)."""
-    flat = a.reshape(*a.shape[:-3], -1, a.shape[-1])
-    return flat @ flat.conj().swapaxes(-1, -2)
-
-
 def verify_e_dilation(
     res: EDilationResult,
     theta: KrausFamily,
@@ -306,10 +299,8 @@ def verify_e_dilation(
     for g, power in _kraus_grid(theta, phi, grid_limit, _matrix_units(n)):
         v, a = res.v_blocks_for(g), thin[g]
         fd = a.shape[2]
-        # embed_h^* alpha_g(embed e_rc) embed_h at r * n + c
-        corner = _outer_units(dagger(e) @ a).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        diff = power - corner.reshape(n * n, n, n)
-        dil = max(dil, max_block_fro(diff.reshape(-1, n), n * n, n))
+        # Block (r, c) is embed_h^* alpha_g(embed e_rc) embed_h.
+        dil = max(dil, _unit_block_residual(_outer_units(dagger(e) @ a), power))
 
         # d[j, m] = A_j^* A_m - delta_jm I; block (i, j, m; l) is R_i d[j, m] R_l^*.
         wide_a = _hstack(a)
@@ -573,7 +564,7 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         for f in blocks:
             h = (frame_h @ f).reshape(d, -1, n).transpose(2, 0, 1)  # h[r] = H_r
             # Generator (r, c), H_r H_c^*, at r * n + c.
-            yield (h[:, None] @ h.conj().transpose(0, 2, 1)[None]).reshape(n * n, d, d)
+            yield (h[:, None] @ dagger(h)[None]).reshape(n * n, d, d)
 
     frame, sizes = _eigen_clusters(a + dagger(a))
     coef, p, q = _block_commutant(_chunks(frame), sizes)

@@ -28,7 +28,8 @@ class CompletionError(RuntimeError):
 
 
 def dagger(a: Array) -> Array:
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def fro(a: Array) -> float:

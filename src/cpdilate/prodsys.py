@@ -32,6 +32,10 @@ T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
 what makes it multiplicative across fibers. The system owns its two families,
 and `_word_operators` keeps the word operators of every fiber built so far as
 one table per system.
+
+The covariance residual here and the dilation residual of verify_e_dilation
+both compare the Choi blocks Theta^a Phi^b(e_rc) of Kraus iteration with the
+blocks F_r F_c^* of a thin factor through one kernel, `_unit_block_residual`.
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array
 
     def apply(fam: KrausFamily, y: Array) -> Array:
         ops = fam.ops[:, None]
-        return (ops @ y @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+        return (ops @ y @ dagger(ops)).sum(axis=0)
 
     foot = np.asarray(x, dtype=complex)
     for b in range(limit.b + 1):
@@ -268,6 +272,21 @@ def _kraus_grid(theta: KrausFamily, phi: KrausFamily, limit: GridPoint, x: Array
 def _matrix_units(n: int) -> Array:
     """The (n^2, n, n) stack of matrix units e_rc, unit r * n + c."""
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+def _outer_units(a: Array) -> Array:
+    """All A_r A_c^* of a (..., n, rows, cols) stack, as (..., n*rows, n*rows)
+    matrices whose block (r, c) is A_r A_c^*."""
+    flat = a.reshape(*a.shape[:-3], -1, a.shape[-1])
+    return flat @ dagger(flat)
+
+
+def _unit_block_residual(units: Array, power: Array) -> float:
+    """Largest Frobenius norm of block (r, c) of units minus Theta^a Phi^b(e_rc),
+    for the (n^2, n, n) stack power of _kraus_grid. Overwrites units."""
+    n = power.shape[-1]
+    units -= power.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return max_block_fro(units, n, n)
 
 
 def _big_space_dim(sys: TwistedProductSystem, horizon: GridPoint, cap: int) -> int:
@@ -303,8 +322,8 @@ def verify_representation(
         rep_g is a coisometry.
 
     (1) and (3) take one GEMM per grid point: with R_r the n x dim X(g)
-    column r of the words, block (r, c) of [R_1 .. R_n]^T conj([R_1 .. R_n])
-    is R_r R_c^* = rep_g (I tensor e_rc) rep_g^*, and rep_g rep_g^* is the
+    column r of the words, block (r, c) of _outer_units([R_1 .. R_n]) is
+    R_r R_c^* = rep_g (I tensor e_rc) rep_g^*, and rep_g rep_g^* is the
     sum of its diagonal blocks.
 
     Raises CapExceededError, before any word operator is built, when the sum
@@ -313,24 +332,22 @@ def verify_representation(
     n = sys.dim_h
     _big_space_dim(sys, horizon, cap)
     words = _word_operators(sys, horizon)
-    # Entry [i, w, j] of reps[a, b] is entry (i, j) of the operator of fiber word w.
-    pts = grid_points(horizon)
-    reps = {g.key(): np.ascontiguousarray(words[g].transpose(1, 0, 2)) for g in pts}
     unital = all(fam.unitality_residual <= tol for fam in (sys.theta, sys.phi))
 
     ident = 0.0
     coiso = 0.0
     for g, power in _kraus_grid(sys.theta, sys.phi, horizon, _matrix_units(n)):
-        # Rows (r, i) of flat are R_r = rep_g[:, :, r]; block (r, c) of units is R_r R_c^*.
-        flat = reps[g.key()].transpose(2, 0, 1).reshape(n * n, -1)
-        units = flat @ dagger(flat)
+        # R_r = rep_g[:, :, r] is [r, i, w] of the words; block (r, c) of units is R_r R_c^*.
+        units = _outer_units(words[g].transpose(2, 1, 0))
         if unital:
             gram = np.einsum("rirj->ij", units.reshape(n, n, n, n)) - np.eye(n)
             coiso = max(coiso, fro(gram))
-        units -= power.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        ident = max(ident, max_block_fro(units, n, n))
+        ident = max(ident, _unit_block_residual(units, power))
         del units  # before the next Kraus step
 
+    # Entry [i, w, j] of reps[a, b] is entry (i, j) of the operator of fiber word w.
+    pts = grid_points(horizon)
+    reps = {g.key(): np.ascontiguousarray(words[g].transpose(1, 0, 2)) for g in pts}
     # Int keys and inline product maps: Sigma(b1, a2) is looked up once per a2,
     # and a split costs a GEMM only where it is not the identity.
     top_a, top_b = horizon.key()

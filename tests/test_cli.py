@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import cpdilate
-from cpdilate import cli, dilation, prodsys
+from cpdilate import chan, cli, dilation, prodsys
 from cpdilate.chan import (
     KrausFamily,
     channel_from_json,
@@ -327,6 +327,26 @@ class TestErrors:
         code, rep = dilate_combined(tmp_path, certificate={"u": [[10**400]]})
         assert code == 2
         assert "too large" in rep["error"]
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            ("x", "a matrix must be a list of rows"),
+            ([[math.nan]], "matrix contains NaN or Inf entries"),
+            ([[1, 2]], "certificate has shape (1, 2), expected (1, 1)"),
+        ],
+        ids=["not-a-matrix", "nan-entry", "wrong-shape"],
+    )
+    def test_combined_file_malformed_certificate_names_the_file(self, tmp_path, u, message):
+        code, rep = dilate_combined(tmp_path, certificate={"u": u})
+        assert code == 2
+        assert rep == {"error": f"{tmp_path / 'pair.json'}: 'certificate': {message}"}
+
+    def test_failed_completion_is_a_verification_failure(self, monkeypatch):
+        monkeypatch.setattr(chan, "_COMPLETION_GUARD", -1.0)
+        code, rep = run_cli("dilate", *ZX, *GRID)
+        assert code == 2
+        assert rep["error"].startswith("internal verification failure: unitary completion failed")
 
     @pytest.mark.parametrize(
         "document, message",

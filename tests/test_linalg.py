@@ -78,6 +78,21 @@ class TestCompletion:
             complete_orthonormal(np.hstack([cols, cols]), 2)
 
 
+class TestDagger:
+    def test_stack_gives_each_conjugate_transpose(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+        got = dagger(a)
+        assert got.shape == (3, 4, 2)
+        for x, y in zip(a, got):
+            assert np.array_equal(y, x.conj().T)
+
+    def test_matrix_is_conjugate_transpose_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        assert np.array_equal(dagger(a), a.conj().T)
+
+
 class TestRotation:
     def test_maps_v_to_w(self):
         rng = np.random.default_rng(2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cpdilate import chan, strongcomm
 from cpdilate.chan import KrausFamily, compose, identity_channel, kraus_to_super
-from cpdilate.linalg import fro
+from cpdilate.linalg import CompletionError, fro
 from cpdilate.strongcomm import (
     DimensionMismatchError,
     NonCommutingError,
@@ -251,6 +251,12 @@ class TestCertificate:
         assert abs(cert.u[0, 0] + 1.0) < 1e-12
         assert cert.unitarity_residual < 1e-12
         assert cert.intertwining_residual < 1e-12
+
+    def test_failed_completion_raises(self, zx_pair, monkeypatch):
+        # No unitary passes a negative guard: the completion check itself fires.
+        monkeypatch.setattr(chan, "_COMPLETION_GUARD", -1.0)
+        with pytest.raises(CompletionError, match="^unitary completion failed"):
+            strong_commutation_certificate(*zx_pair)
 
     def test_corner_collapse_with_identity(self, corner_pair):
         cert = strong_commutation_certificate(*corner_pair)
