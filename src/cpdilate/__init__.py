@@ -23,11 +23,9 @@ from .dilation import (
     verify_e_dilation,
 )
 from .prodsys import (
-    FiberVector,
     GridPoint,
     TwistedProductSystem,
     build_product_system,
-    multiply,
     representation_matrix,
     verify_representation,
 )
@@ -48,7 +46,6 @@ from .strongcomm import (
 __all__ = [
     "ChannelReport",
     "DilationRun",
-    "FiberVector",
     "GridPoint",
     "KrausFamily",
     "StrongCommutationCertificate",
@@ -72,7 +69,6 @@ __all__ = [
     "kraus_to_super",
     "lift_operators",
     "minimality_check",
-    "multiply",
     "representation_matrix",
     "semigroup_at",
     "strong_commutation_certificate",

@@ -487,19 +487,6 @@ def _closure_dim(coef: Array, p: Array, q: Array, d: int) -> int:
     return int(sizes[firsts] @ sizes[firsts])
 
 
-def algebra_dims(mats: Array) -> tuple[int, int]:
-    """(dim of the commutant, dim of the generated unital *-algebra) of mats.
-
-    mats is a (count, d, d) stack whose span is closed under adjoints; one
-    commutant solve (_block_commutant). Raises CapExceededError before
-    allocating when the solve would pass MAX_COMMUTANT_UNKNOWNS unknowns.
-    """
-    a = np.tensordot(_random_coefficients(len(mats)), mats, axes=1)
-    frame, sizes = _eigen_clusters(a + dagger(a))
-    coef, p, q = _block_commutant([dagger(frame) @ mats @ frame], sizes)
-    return coef.shape[1], _closure_dim(coef, p, q, len(frame))
-
-
 @dataclass(frozen=True)
 class MinimalityReport:
     dim_k: int
@@ -526,8 +513,8 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
     (1) The generators form a *-closed set, so by the double commutant
         theorem they generate B(K) exactly when their commutant is the
         scalars. The random element of their span is sum_g f_g (I tensor C_g)
-        f_g^*, with the coefficients of algebra_dims in (g, r, c) order, and
-        the commutant solve takes, per grid point, the n^2 generators
+        f_g^*, with the coefficients of _random_coefficients in (g, r, c)
+        order, and the commutant solve takes, per grid point, the n^2 generators
         H_r H_c^* with H = frame^* A. closure_dim, the dimension of the
         generated unital *-algebra, is read off the commutant's structure.
     (2) The span of the words alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) applied

@@ -21,11 +21,11 @@ Sigma(b, a) : F^b tensor E^a -> E^a tensor F^b is the identity when a or b is
 0. The block flips belong to the product system: `_block_flip` builds each
 Sigma(b, a) at most once per system, with one product from the unit flip:
 Sigma(b, 1) from Sigma(b - 1, 1) and tau, Sigma(b, a) from Sigma(b, a - 1)
-and Sigma(b, 1). Every product map, `multiply` and the dilation's included,
-is applied as Sigma on the middle axis of a reshape by `_product_map`,
-except in `verify_representation`, which checks the homomorphism identity once
-per g1, batched over every g2, and applies Sigma^T inline on the same reshape
-so that a split whose Sigma is the identity costs no GEMM.
+and Sigma(b, 1). The dilation's product maps go through `_left_multiply`,
+which applies Sigma on the middle axis of a reshape by `_product_map`.
+`verify_representation` checks the homomorphism identity once per g1,
+batched over every g2, and applies Sigma^T inline on the same reshape so that
+a split whose Sigma is the identity costs no GEMM.
 
 The covariant representation sends the basis word (i_1..i_a, j_1..j_b) to
 T_{i_1} .. T_{i_a} S_{j_1} .. S_{j_b}; the flip convention above is exactly
@@ -135,12 +135,6 @@ class TwistedProductSystem:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class FiberVector:
-    grid: GridPoint
-    coords: Array
-
-
 @dataclass(frozen=True)
 class RepresentationReport:
     horizon: GridPoint
@@ -205,14 +199,6 @@ def _left_multiply(sys: TwistedProductSystem, g: GridPoint, rest: GridPoint, m: 
     x = np.zeros((fd, m.shape[0], fd, m.shape[1]), dtype=complex)
     x[np.arange(fd), :, np.arange(fd)] = m
     return _product_map(sys, g, rest, x).reshape(fd * m.shape[0], -1)
-
-
-def multiply(sys: TwistedProductSystem, x: FiberVector, y: FiberVector) -> FiberVector:
-    """Product U_{g1,g2} (x tensor y) of fiber vectors, at g1 + g2."""
-    if x.coords.shape[0] != sys.fiber_dim(x.grid) or y.coords.shape[0] != sys.fiber_dim(y.grid):
-        raise ValueError("fiber vector length does not match its grid point")
-    out = _product_map(sys, x.grid, y.grid, np.outer(x.coords.astype(complex), y.coords))
-    return FiberVector(x.grid + y.grid, out.reshape(-1))
 
 
 def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:

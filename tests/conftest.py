@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpdilate import dilation
 from cpdilate.chan import KrausFamily, identity_channel
 from cpdilate.dilation import build_big_space, build_dilation_space, lift_operators
-from cpdilate.prodsys import build_product_system
+from cpdilate.linalg import dagger
+from cpdilate.prodsys import _product_map, build_product_system
 from cpdilate.strongcomm import strong_commutation_certificate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -105,6 +107,24 @@ def oracle_product_unitary(sys, g1, g2) -> np.ndarray:
         types[pos], types[pos + 1] = "E", "F"
         dims[pos], dims[pos + 1] = sys.m, sys.k
         arr = work.reshape(dims + [batch])
+
+
+def product(sys, g1, x, g2, y) -> np.ndarray:
+    """U_{g1,g2} (x tensor y) for coordinate arrays x of X(g1) and y of X(g2),
+    through the kernel of the dilation blocks and the lift."""
+    return _product_map(sys, g1, g2, np.outer(x, y)).reshape(-1)
+
+
+def algebra_dims(mats) -> tuple[int, int]:
+    """(dim of the commutant, dim of the generated unital *-algebra) of a
+    *-closed (count, d, d) stack, by the solver steps of minimality_check:
+    one random element, its eigenvalue clusters, one commutant solve with the
+    stack in that frame as one chunk, and the structure reading. The steps
+    are read through the module, so a monkeypatched constant reaches them."""
+    a = np.tensordot(dilation._random_coefficients(len(mats)), mats, axes=1)
+    frame, sizes = dilation._eigen_clusters(a + dagger(a))
+    coef, p, q = dilation._block_commutant([dagger(frame) @ mats @ frame], sizes)
+    return coef.shape[1], dilation._closure_dim(coef, p, q, len(frame))
 
 
 def oracle_span_projector(dsp, limit) -> np.ndarray:

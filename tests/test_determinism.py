@@ -15,7 +15,7 @@ from cpdilate.chan import (
 )
 from cpdilate.dilation import verify_e_dilation
 from cpdilate.linalg import fro
-from cpdilate.prodsys import FiberVector, GridPoint, build_product_system, verify_representation
+from cpdilate.prodsys import GridPoint, build_product_system, verify_representation
 from cpdilate.stochastic import DiagonalIntertwiner, IntertwinerBlock, semigroup_at
 from cpdilate.strongcomm import strong_commutation_certificate
 
@@ -84,7 +84,6 @@ def array_holders(zx_pair):
         "KrausFamily": zx_pair[0],
         "StrongCommutationCertificate": strong_commutation_certificate(*zx_pair),
         "TwistedProductSystem": res.sys,
-        "FiberVector": FiberVector(GridPoint(1, 0), np.ones(1)),
         "DilationSpace": res.dsp,
         "EDilationResult": res,
         "IntertwinerBlock": block,
@@ -95,7 +94,7 @@ def array_holders(zx_pair):
 @pytest.mark.parametrize(
     "name",
     [
-        "KrausFamily", "StrongCommutationCertificate", "TwistedProductSystem", "FiberVector",
+        "KrausFamily", "StrongCommutationCertificate", "TwistedProductSystem",
         "DilationSpace", "EDilationResult", "IntertwinerBlock", "DiagonalIntertwiner",
     ],
 )

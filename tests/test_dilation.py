@@ -13,7 +13,6 @@ from cpdilate.chan import KrausFamily, apply_kraus, identity_channel
 from cpdilate.dilation import (
     CapExceededError,
     OutOfHorizonError,
-    algebra_dims,
     build_big_space,
     build_dilation_space,
     dilate,
@@ -35,6 +34,7 @@ from conftest import (
     PAULI_X,
     PAULI_Z,
     CommutingFamily,
+    algebra_dims,
     compress,
     corner_collapse_channel,
     lifted,

@@ -11,13 +11,11 @@ from cpdilate.chan import identity_channel
 from cpdilate.linalg import dagger, fro
 from cpdilate.prodsys import (
     CapExceededError,
-    FiberVector,
     GridPoint,
     InvalidCertificateError,
     build_product_system,
     flip_from_certificate,
     grid_points,
-    multiply,
     representation_matrix,
     verify_representation,
 )
@@ -29,6 +27,7 @@ from conftest import (
     make_system,
     mix_of_unitaries,
     oracle_product_unitary,
+    product,
     random_unitary,
 )
 
@@ -98,31 +97,29 @@ class TestBuildSystem:
 
 class TestMultiply:
     def test_unit_law(self, mixed_system):
-        unit = FiberVector(GridPoint(0, 0), np.ones(1, dtype=complex))
-        x = FiberVector(GridPoint(1, 1), np.arange(1, 5, dtype=complex))
-        left = multiply(mixed_system, unit, x)
-        right = multiply(mixed_system, x, unit)
-        assert left.grid == x.grid == right.grid
-        assert fro(left.coords - x.coords) < 1e-12
-        assert fro(right.coords - x.coords) < 1e-12
+        x = np.arange(1, 5, dtype=complex)
+        one, g = np.ones(1, dtype=complex), GridPoint(1, 1)
+        left = product(mixed_system, GridPoint(0, 0), one, g, x)
+        right = product(mixed_system, g, x, GridPoint(0, 0), one)
+        assert fro(left - x) < 1e-12
+        assert fro(right - x) < 1e-12
 
     def test_single_flip_sign(self, zx_system):
-        e = FiberVector(GridPoint(1, 0), np.ones(1, dtype=complex))
-        f = FiberVector(GridPoint(0, 1), np.ones(1, dtype=complex))
-        ef = multiply(zx_system, e, f)   # already ordered, no flip
-        fe = multiply(zx_system, f, e)   # one flip, picks up the -1
-        assert ef.grid == fe.grid == GridPoint(1, 1)
-        assert ef.coords[0] == pytest.approx(1.0)
-        assert fe.coords[0] == pytest.approx(-1.0)
+        one, e, f = np.ones(1, dtype=complex), GridPoint(1, 0), GridPoint(0, 1)
+        ef = product(zx_system, e, one, f, one)   # already ordered, no flip
+        fe = product(zx_system, f, one, e, one)   # one flip, picks up the -1
+        assert ef.shape == fe.shape == (zx_system.fiber_dim(GridPoint(1, 1)),)
+        assert ef[0] == pytest.approx(1.0)
+        assert fe[0] == pytest.approx(-1.0)
 
     def test_flip_count_matches_bc(self, mixed_system):
         # (0,2) * (2,0): four elementary flips; compare against applying the
         # flip-by-flip product unitary to the raw tensor.
-        x = FiberVector(GridPoint(0, 2), np.arange(1, 5, dtype=complex))
-        y = FiberVector(GridPoint(2, 0), np.arange(4, 0, -1, dtype=complex))
-        got = multiply(mixed_system, x, y)
-        u = oracle_product_unitary(mixed_system, x.grid, y.grid)
-        assert fro(got.coords - u @ np.kron(x.coords, y.coords)) < 1e-12
+        g1, x = GridPoint(0, 2), np.arange(1, 5, dtype=complex)
+        g2, y = GridPoint(2, 0), np.arange(4, 0, -1, dtype=complex)
+        got = product(mixed_system, g1, x, g2, y)
+        u = oracle_product_unitary(mixed_system, g1, g2)
+        assert fro(got - u @ np.kron(x, y)) < 1e-12
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -133,44 +130,32 @@ class TestMultiply:
 
         def rand_vec(g):
             d = sys_.fiber_dim(g)
-            return FiberVector(g, rng.normal(size=d) + 1j * rng.normal(size=d))
+            return rng.normal(size=d) + 1j * rng.normal(size=d)
 
         pts = grid_points(GridPoint(1, 1))
         for g1 in pts:
             for g2 in pts:
                 for g3 in pts:
-                    if sys_.fiber_dim(g1 + g2 + g3) > 4096:
-                        continue
                     x, y, z = rand_vec(g1), rand_vec(g2), rand_vec(g3)
-                    left = multiply(sys_, multiply(sys_, x, y), z)
-                    right = multiply(sys_, x, multiply(sys_, y, z))
-                    assert left.grid == right.grid
-                    assert fro(left.coords - right.coords) < 1e-9
+                    left = product(sys_, g1 + g2, product(sys_, g1, x, g2, y), g3, z)
+                    right = product(sys_, g1, x, g2 + g3, product(sys_, g2, y, g3, z))
+                    assert left.shape == right.shape == (sys_.fiber_dim(g1 + g2 + g3),)
+                    assert fro(left - right) < 1e-9
 
     def test_memory_is_linear_in_the_product(self, mixed_system):
         # Two 256-coordinate vectors at (4, 4): the product has 2^16
         # coordinates (1 MiB); I_{X(g1)} tensor y as a matrix would be 256 MiB.
         rng = np.random.default_rng(0)
-        x, y = (
-            FiberVector(GridPoint(4, 4), rng.normal(size=256) + 1j * rng.normal(size=256))
-            for _ in range(2)
-        )
+        x, y = (rng.normal(size=256) + 1j * rng.normal(size=256) for _ in range(2))
+        g = GridPoint(4, 4)
         tracemalloc.start()
         try:
-            got = multiply(mixed_system, x, y)
+            got = product(mixed_system, g, x, g, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.grid == GridPoint(8, 8) and got.coords.shape == (2**16,)
+        assert got.shape == (mixed_system.fiber_dim(GridPoint(8, 8)),) == (2**16,)
         assert peak < 16 * 2**20
-
-    def test_length_mismatch_rejected(self, mixed_system):
-        with pytest.raises(ValueError):
-            multiply(
-                mixed_system,
-                FiberVector(GridPoint(1, 0), np.ones(3, dtype=complex)),
-                FiberVector(GridPoint(0, 0), np.ones(1, dtype=complex)),
-            )
 
 
 class TestRepresentation:
@@ -212,9 +197,10 @@ class TestProductMap:
         lengths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     )
     def test_block_flips_match_sweep_and_multiply(self, seed, n, lengths):
-        # Every split g1 + g2 <= (3,3): multiply, which applies the
-        # block-flip table, against the flip-by-flip sweep. Both are
-        # defined for any unitary flip; a random one is complex.
+        # Every split g1 + g2 <= (3,3): the product map of the dilation
+        # blocks and the lift, which applies the block-flip table, against
+        # the flip-by-flip sweep. Both are defined for any unitary flip; a
+        # random one is complex.
         rng = np.random.default_rng(seed)
         family = CommutingFamily(n, rng)
         sys_ = make_system(*(mix_of_unitaries(family, k) for k in lengths))
@@ -224,12 +210,12 @@ class TestProductMap:
                 g2 = g - g1
                 want = oracle_product_unitary(sys_, g1, g2)
                 x, y = (
-                    FiberVector(p, rng.normal(size=d) + 1j * rng.normal(size=d))
-                    for p, d in ((g1, sys_.fiber_dim(g1)), (g2, sys_.fiber_dim(g2)))
+                    rng.normal(size=d) + 1j * rng.normal(size=d)
+                    for d in (sys_.fiber_dim(g1), sys_.fiber_dim(g2))
                 )
-                got = multiply(sys_, x, y)
-                assert got.grid == g
-                assert close(want @ np.kron(x.coords, y.coords), got.coords)
+                got = product(sys_, g1, x, g2, y)
+                assert got.shape == (sys_.fiber_dim(g),)
+                assert close(want @ np.kron(x, y), got)
 
 
 class TestVerifyRepresentation:
