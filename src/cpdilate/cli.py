@@ -28,9 +28,9 @@ from typing import Any
 import numpy as np
 
 from . import chan, stochastic
-from .dilation import DEFAULT_BIG_CAP, dilate
+from .dilation import dilate
 from .linalg import DEFAULT_TOL, DEFAULT_VERIFY_TOL, DEFAULT_ZERO_TOL, CapExceededError
-from .prodsys import DEFAULT_FIBER_CAP, GridPoint, build_product_system, verify_representation
+from .prodsys import DEFAULT_GRID_CAP, GridPoint, build_product_system, verify_representation
 from .strongcomm import (
     NonCommutingError,
     StrongCommutationCertificate,
@@ -129,10 +129,6 @@ def _load_channel(path: str, tol: float) -> chan.KrausFamily:
     return _channel_from(_load_json(path), path, tol)
 
 
-def _grid(values) -> GridPoint:
-    return GridPoint(int(values[0]), int(values[1]))
-
-
 def _fields(obj) -> dict:
     """The fields of a library dataclass as report entries: a GridPoint as
     [a, b] and an array as chan.matrix_to_json."""
@@ -158,6 +154,12 @@ def cmd_commute(args) -> tuple[int, dict]:
     return (0 if rep.commute else 1), {"command": "commute", **_fields(rep)}
 
 
+def _card_fields(card: stochastic.CardReport) -> dict:
+    """The count-criterion entries of a report; _round_floats lists the tuples."""
+    return {"card_holds": card.holds, "witnesses": card.witnesses,
+            "near_zero_warnings": card.near_zero_entries}
+
+
 def _diagonal_strong_commute(args, p, q) -> tuple[int, dict]:
     rep = stochastic.strongly_commute_diagonal(p, q, args.tol, args.zero_tol)
     report = {
@@ -166,9 +168,7 @@ def _diagonal_strong_commute(args, p, q) -> tuple[int, dict]:
         "strongly_commute": rep.strongly_commute,
         "commute": rep.commute,
         "commutation_residual": rep.commutation_residual,
-        "card_holds": rep.card.holds,
-        "witnesses": [list(w) for w in rep.card.witnesses],
-        "near_zero_warnings": [list(w) for w in rep.card.near_zero_entries],
+        **_card_fields(rep.card),
         "tol": rep.tol,
         "zero_tol": rep.card.zero_tol,
     }
@@ -211,9 +211,7 @@ def cmd_stochastic(args) -> tuple[int, dict]:
         if len(mats) != 2:
             raise InputError("--check-card needs exactly two matrices")
         card = stochastic.card_criterion(mats[0], mats[1], args.zero_tol)
-        report["card_holds"] = card.holds
-        report["witnesses"] = [list(w) for w in card.witnesses]
-        report["near_zero_warnings"] = [list(w) for w in card.near_zero_entries]
+        report.update(_card_fields(card))
         if not card.holds:
             code = 1
     if args.semigroup is None and not args.irreducible and not args.check_card:
@@ -227,7 +225,7 @@ def cmd_prodsys(args) -> tuple[int, dict]:
     theta, phi = (_load_channel(path, args.tol) for path in args.channels)
     cert = strong_commutation_certificate(theta, phi, args.tol)
     system = build_product_system(theta, phi, cert, args.tol)
-    rep = verify_representation(system, _grid(args.horizon), args.verify_tol, args.cap)
+    rep = verify_representation(system, GridPoint(*args.horizon), args.verify_tol, args.cap)
     return (0 if rep.passed else 1), {"command": "prodsys", **_fields(rep), "passed": rep.passed}
 
 
@@ -266,7 +264,7 @@ def cmd_dilate(args) -> tuple[int, dict]:
     if len(args.channels) not in (1, 2):
         raise InputError("dilate takes two channel files or one combined file")
     theta, phi, cert = _load_dilate_inputs(args)
-    horizon, margin = _grid(args.horizon), _grid(args.margin)
+    horizon, margin = GridPoint(*args.horizon), GridPoint(*args.margin)
     try:
         run = dilate(
             theta, phi, horizon, margin,
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channels", nargs=2)
     p.add_argument("--horizon", nargs=2, type=int, required=True, metavar=("A", "B"))
     p.add_argument("--verify-tol", type=positive, default=DEFAULT_VERIFY_TOL)
-    p.add_argument("--cap", type=int, default=DEFAULT_FIBER_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP)
     p.set_defaults(func=cmd_prodsys)
 
     p = sub.add_parser("dilate", help="build and verify the finite-horizon dilation")
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", nargs=2, type=int, required=True, metavar=("A", "B"))
     p.add_argument("--margin", nargs=2, type=int, required=True, metavar=("A", "B"))
     p.add_argument("--verify-tol", type=positive, default=DEFAULT_VERIFY_TOL)
-    p.add_argument("--cap", type=int, default=DEFAULT_BIG_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP)
     p.set_defaults(func=cmd_dilate)
     return parser
 

@@ -58,6 +58,7 @@ from .linalg import (
     max_block_fro,
 )
 from .prodsys import (
+    DEFAULT_GRID_CAP,
     ZERO,
     GridPoint,
     TwistedProductSystem,
@@ -75,7 +76,6 @@ from .strongcomm import StrongCommutationCertificate, strong_commutation_certifi
 
 # Floor below zero allowed for p_increase_min_eig.
 PSD_FLOOR = 1e-10
-DEFAULT_BIG_CAP = 8192
 
 
 class OutOfHorizonError(ValueError):
@@ -93,7 +93,7 @@ class BigSpace:
 
 
 def build_big_space(
-    sys: TwistedProductSystem, horizon: GridPoint, cap: int = DEFAULT_BIG_CAP
+    sys: TwistedProductSystem, horizon: GridPoint, cap: int = DEFAULT_GRID_CAP
 ) -> tuple[BigSpace, TwistedProductSystem]:
     """The grid below the horizon and its block dimensions, or CapExceededError
     when their total passes cap. Returns (big, sys), the first two arguments
@@ -382,8 +382,9 @@ LINK_REL = 1e-6
 # peak is 4.07 N^2 16 B for N unknowns (65 MiB at N = 1024) before LAPACK's
 # workspace, ~1 GiB by that ratio at the cap (not measured there).
 MAX_COMMUTANT_UNKNOWNS = 4096
-# Entries of one slice of generators, or of its gather onto the unknowns, in
-# a commutant solve (16 MiB complex).
+# A commutant solve forms each grid point's (n^2, d, d) chunk whole (64 MiB at d = 1024,
+# n = 2), then slices it so that a gather onto N unknowns holds at most
+# max(_SLICE_ENTRIES, N^2) complex entries: 16 MiB to N = 1024, 256 MiB at the cap.
 _SLICE_ENTRIES = 2**20
 
 
@@ -590,7 +591,7 @@ class DilationRun:
 def dilate(
     theta: KrausFamily, phi: KrausFamily, horizon: GridPoint, margin: GridPoint, *,
     cert: StrongCommutationCertificate | None = None, tol: float = DEFAULT_TOL,
-    verify_tol: float = DEFAULT_VERIFY_TOL, cap: int = DEFAULT_BIG_CAP,
+    verify_tol: float = DEFAULT_VERIFY_TOL, cap: int = DEFAULT_GRID_CAP,
 ) -> DilationRun:
     """Certify the pair unless cert is given (NonCommutingError if it does not
     commute), build its product system, dilate to horizon, verify up to margin

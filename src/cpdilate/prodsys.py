@@ -53,7 +53,7 @@ class InvalidCertificateError(ValueError):
     pass
 
 
-DEFAULT_FIBER_CAP = 4096
+DEFAULT_GRID_CAP = 8192  # on the grid total, the sum of dim X(g) tensor H below a horizon
 
 
 @dataclass(frozen=True)
@@ -225,8 +225,8 @@ def _word_operators(sys: TwistedProductSystem, horizon: GridPoint) -> dict:
 
 def representation_matrix(sys: TwistedProductSystem, g: GridPoint) -> Array:
     """The n x (fiber_dim * n) matrix with column block T_{i_1}..T_{i_a}S_{j_1}..S_{j_b};
-    CapExceededError, before building, when the grid below g passes DEFAULT_FIBER_CAP."""
-    _big_space_dim(sys, g, DEFAULT_FIBER_CAP)
+    CapExceededError, before building, when the grid below g passes DEFAULT_GRID_CAP."""
+    _big_space_dim(sys, g, DEFAULT_GRID_CAP)
     return _word_operators(sys, g)[g].transpose(1, 0, 2).reshape(sys.dim_h, -1)
 
 
@@ -297,7 +297,7 @@ def verify_representation(
     sys: TwistedProductSystem,
     horizon: GridPoint,
     tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_FIBER_CAP,
+    cap: int = DEFAULT_GRID_CAP,
 ) -> RepresentationReport:
     """Check the three representation contracts on the full grid rectangle.
 

@@ -158,6 +158,14 @@ class TestChannels:
         assert code == 0
         assert rep["passed"]
 
+    def test_prodsys_verify_admits_the_dilate_grid(self):
+        # Total 2 * (2^12 - 1) = 8190 under the one grid cap: dilate takes this
+        # horizon, so the cheaper representation step takes it too.
+        pair = [str(FIXTURES / f"channel_{name}.json") for name in ("corner_collapse", "identity_2")]
+        code, rep = run_cli("prodsys", "verify", *pair, "--horizon", "11", "0")
+        assert code == 0
+        assert rep["passed"]
+
     def test_dilate_zx(self):
         code, rep = run_cli("dilate", *ZX, *GRID)
         assert code == 0
@@ -308,7 +316,7 @@ class TestErrors:
         # One-dimensional fibers: the total over the grid is what is capped.
         code, rep = run_cli("prodsys", "verify", *ZX, "--horizon", "100", "100")
         assert code == 2
-        assert rep == {"error": "big space dimension 20402 exceeds cap 4096"}
+        assert rep == {"error": "big space dimension 20402 exceeds cap 8192"}
 
     @pytest.mark.parametrize("dim", [None, True, 1.5, "1"])
     def test_non_integer_dim_exits_two(self, tmp_path, dim):
@@ -501,10 +509,20 @@ class TestStochasticFlags:
         monkeypatch.delenv("CPDILATE_TOL", raising=False)
         parser = build_parser()
         args = parser.parse_args(["prodsys", "verify", "a", "b", "--horizon", "1", "1"])
-        assert args.tol == DEFAULT_TOL
-        assert (args.verify_tol, args.cap) == (DEFAULT_VERIFY_TOL, prodsys.DEFAULT_FIBER_CAP)
+        assert (args.tol, args.verify_tol) == (DEFAULT_TOL, DEFAULT_VERIFY_TOL)
         args = parser.parse_args(["dilate", "a", "--horizon", "1", "1", "--margin", "1", "1"])
-        assert (args.verify_tol, args.cap) == (DEFAULT_VERIFY_TOL, dilation.DEFAULT_BIG_CAP)
+        assert args.verify_tol == DEFAULT_VERIFY_TOL
+
+    @pytest.mark.parametrize(
+        "argv", [("prodsys", "verify", *ZX), ("dilate", *ZX, "--margin", "1", "1")],
+        ids=["prodsys", "dilate"],
+    )
+    def test_both_steps_cap_the_grid_at_one_default(self, argv):
+        horizon = ("--horizon", "100", "100")
+        assert build_parser().parse_args([*argv, *horizon]).cap == prodsys.DEFAULT_GRID_CAP
+        code, rep = run_cli(*argv, *horizon)
+        assert code == 2
+        assert rep == {"error": "big space dimension 20402 exceeds cap 8192"}
 
     def test_env_var_tolerance(self, monkeypatch, tmp_path):
         monkeypatch.setenv("CPDILATE_TOL", "1e-3")

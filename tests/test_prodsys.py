@@ -250,7 +250,7 @@ class TestVerifyRepresentation:
         # total over the grid bounds the horizon: 2 * 101^2 = 20402.
         sys_ = make_system(*zx_pair)
         start = time.perf_counter()
-        with pytest.raises(CapExceededError, match="dimension 20402 exceeds cap 4096"):
+        with pytest.raises(CapExceededError, match="dimension 20402 exceeds cap 8192"):
             verify_representation(sys_, GridPoint(100, 100))
         assert time.perf_counter() - start < 1.0
         # The cap refuses exactly the totals above it: 2 * 3^2 at (2, 2).

@@ -324,10 +324,12 @@ EQUIVALENT = {
 # Commutant-solver faults. On a minimal pair the solve searches the matrices
 # diagonal in the eigenframe of a random element of B(K), and the scalars are
 # all of those that commute with a generic set: a fault that drops generators
-# or loses the frame still finds the scalars. Only the pinned triple of a
-# redundant pair (test_dilation.py::TestCommutant::test_redundant_pair_pinned,
-# and the mix3 step of CI) sees them; the frame fault even reports that pair
-# as minimal.
+# or loses the frame still finds the scalars. A redundant pair sees them: its
+# pinned triple (test_dilation.py::TestCommutant::test_redundant_pair_pinned,
+# and the mix3 step of CI), and the dense oracle_commutant on its explicit
+# example lengths=(3, 3), horizon=(1, 1)
+# (test_dilation.py::TestCommutant::test_random_pairs_match_oracle). The frame
+# fault even reports that pair as minimal.
 COMMUTANT = {
     "dilation_commutant_solve_takes_first_chunk": lambda mp: _wrap(
         mp, dilation, "_block_commutant",

@@ -551,10 +551,10 @@ def test_representation_memory_does_not_grow_with_the_grid():
 
 
 def test_representation_memory_does_not_grow_with_the_fiber():
-    # M_16 with Kraus lengths (2, 1) at (7, 0): 4080 of the 4096 the fiber cap
-    # allows, and fibers up to 128-dimensional. Each theta^a of the 256 matrix
-    # units is a 1 MiB stack; a per-word product of them, 128 times that, would
-    # take 128 MiB at the last point.
+    # M_16 with Kraus lengths (2, 1) at (7, 0): a grid total of 4080 of the 8192
+    # the grid cap allows, and fibers up to 128-dimensional. Each theta^a of the
+    # 256 matrix units is a 1 MiB stack; a per-word product of them, 128 times
+    # that, would take 128 MiB at the last point.
     sys_ = make_system(*mix_pair(16, (2, 1), 2))
     horizon = GridPoint(7, 0)
     assert sys_.fiber_dim(horizon) == 128
