@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -382,9 +383,9 @@ LINK_REL = 1e-6
 # peak is 4.07 N^2 16 B for N unknowns (65 MiB at N = 1024) before LAPACK's
 # workspace, ~1 GiB by that ratio at the cap (not measured there).
 MAX_COMMUTANT_UNKNOWNS = 4096
-# A commutant solve forms each grid point's (n^2, d, d) chunk whole (64 MiB at d = 1024,
-# n = 2), then slices it so that a gather onto N unknowns holds at most
-# max(_SLICE_ENTRIES, N^2) complex entries: 16 MiB to N = 1024, 256 MiB at the cap.
+# Commutant generators come in batches of at most max(_SLICE_ENTRIES, d^2) complex
+# entries (16 MiB to d = 1024); the general solve gathers slices of a batch onto N
+# unknowns of at most max(_SLICE_ENTRIES, N^2) entries (256 MiB at the cap).
 _SLICE_ENTRIES = 2**20
 
 
@@ -399,6 +400,11 @@ def _eigen_clusters(a: Array) -> tuple[Array, Array]:
     norm = float(np.abs(w).max()) if w.size else 0.0
     cuts = np.flatnonzero(np.diff(w) > CLUSTER_REL * norm) + 1
     return v, np.diff(np.concatenate(([0], cuts, [w.size])))
+
+
+def _laplacian(w: Array) -> Array:
+    """diag(w 1) - w, the graph Laplacian of a symmetric weight matrix."""
+    return np.diag(w.sum(axis=1)) - w
 
 
 def _block_commutant(chunks: Iterable[Array], sizes: Array) -> tuple[Array, Array, Array]:
@@ -416,41 +422,45 @@ def _block_commutant(chunks: Iterable[Array], sizes: Array) -> tuple[Array, Arra
             f"commutant solve needs {unknowns} unknowns, over the cap {MAX_COMMUTANT_UNKNOWNS}"
         )
     d = int(sizes.sum())
-    labels = np.repeat(np.arange(sizes.size), sizes)
-    p, q = np.nonzero(labels[:, None] == labels[None, :])  # row-major within each block
-
     # Normal operator N(C) = C S1 + S2 C - sum_g (B C B* + B* C B), with
     # S1 = sum_g B B*, S2 = sum_g B* B. The sandwich terms, restricted to the
-    # unknowns, are T + T^* with T[u, w] = sum_g B[p_u, p_w] conj(B[q_u, q_w]);
-    # for blocks of size one this is the graph Laplacian of W = sum_g |B|^2.
-    # S1 and S2 are formed only on the blocks.
-    t = np.zeros((unknowns, unknowns), dtype=complex)
-    s1 = np.zeros((d, d), dtype=complex)
-    s2 = np.zeros((d, d), dtype=complex)
-
-    def gather(x: Array, idx: Array, axis: int) -> Array:
-        # With clusters of one, p = q = range(d) and there is nothing to gather.
-        return x if unknowns == d else x.take(idx, axis=axis)
-
-    # A gather holds count * unknowns^2 entries.
-    per = max(1, _SLICE_ENTRIES // (unknowns * unknowns))
-    for chunk in chunks:
-        for start in range(0, len(chunk), per):
-            bg = chunk[start:start + per]
-            rows_p, rows_q = gather(bg, p, 1), gather(bg, q, 1).conj()
-            t += np.einsum("gij,gij->ij", gather(rows_p, p, 2), gather(rows_q, q, 2))
-            s1[p, q] += np.einsum("gux,gux->u", rows_p, rows_q)
-            s2[p, q] += np.einsum("gxu,gxu->u", gather(bg, p, 2).conj(), gather(bg, q, 2))
-    normal = -(t + dagger(t))
-    del t
-    # C S1 + S2 C on the unknowns: entry (u, w) takes S1[q_w, q_u] where
-    # p_u = p_w, and S2[p_u, p_w] where q_u = q_w.
-    u, w = np.nonzero(p[:, None] == p[None, :])
-    normal[u, w] += s1[q[w], q[u]]
-    u, w = np.nonzero(q[:, None] == q[None, :])
-    normal[u, w] += s2[p[u], p[w]]
-
-    evals, evecs = np.linalg.eigh(hermitize(normal))
+    # unknowns, are T + T^* with T[u, w] = sum_g B[p_u, p_w] conj(B[q_u, q_w]).
+    if unknowns == d:
+        # Clusters of one: p = q = range(d), T = W = sum_g |B|^2 is real, and
+        # S1 and S2 on the diagonal are its row and column sums, so N is the
+        # graph Laplacian of W + W^T. W is reduced chunk by chunk.
+        w = np.zeros((d, d))
+        for chunk in chunks:
+            for x in (chunk.real, chunk.imag):
+                w += np.einsum("gij,gij->ij", x, x)
+        p = q = np.arange(d)
+        normal = _laplacian(w + w.T)
+    else:
+        labels = np.repeat(np.arange(sizes.size), sizes)
+        p, q = np.nonzero(labels[:, None] == labels[None, :])  # row-major within each block
+        # S1 and S2 are formed only on the blocks.
+        t = np.zeros((unknowns, unknowns), dtype=complex)
+        s1 = np.zeros((d, d), dtype=complex)
+        s2 = np.zeros((d, d), dtype=complex)
+        # A gather holds count * unknowns^2 entries.
+        per = max(1, _SLICE_ENTRIES // (unknowns * unknowns))
+        for chunk in chunks:
+            for start in range(0, len(chunk), per):
+                bg = chunk[start:start + per]
+                rows_p, rows_q = bg.take(p, axis=1), bg.take(q, axis=1).conj()
+                t += np.einsum("gij,gij->ij", rows_p.take(p, axis=2), rows_q.take(q, axis=2))
+                s1[p, q] += np.einsum("gux,gux->u", rows_p, rows_q)
+                s2[p, q] += np.einsum("gxu,gxu->u", bg.take(p, axis=2).conj(), bg.take(q, axis=2))
+        normal = -(t + dagger(t))
+        del t
+        # C S1 + S2 C on the unknowns: entry (u, w) takes S1[q_w, q_u] where
+        # p_u = p_w, and S2[p_u, p_w] where q_u = q_w.
+        u, w = np.nonzero(p[:, None] == p[None, :])
+        normal[u, w] += s1[q[w], q[u]]
+        u, w = np.nonzero(q[:, None] == q[None, :])
+        normal[u, w] += s2[p[u], p[w]]
+        normal = hermitize(normal)
+    evals, evecs = np.linalg.eigh(normal)
     scale = max(float(evals[-1]), 1.0)
     return evecs[:, evals < 0.01 * COMMUTANT_TOL * scale], p, q
 
@@ -515,9 +525,12 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         theorem they generate B(K) exactly when their commutant is the
         scalars. The random element of their span is sum_g f_g (I tensor C_g)
         f_g^*, with the coefficients of _random_coefficients in (g, r, c)
-        order, and the commutant solve takes, per grid point, the n^2 generators
-        H_r H_c^* with H = frame^* A. closure_dim, the dimension of the
-        generated unital *-algebra, is read off the commutant's structure.
+        order, and the commutant solve takes the n^2 generators H_r H_c^* of
+        each grid point, H = frame^* A. Consecutive grid points with equal
+        block shapes share one product, of at most max(_SLICE_ENTRIES, d^2)
+        generator entries; a grid point over that is formed one generator at
+        a time. closure_dim, the dimension of the generated unital *-algebra,
+        is read off the commutant's structure.
     (2) The span of the words alpha_{g_1}(m_1) ... alpha_{g_r}(m_r) applied
         to E H, with E = f_0 the embedding of H, is invariant under the
         generated algebra R = sum_i M_{d_i} tensor I_{m_i}. E E^*, the sum of
@@ -540,19 +553,37 @@ def minimality_check(res: EDilationResult) -> MinimalityReport:
         )
     # The factor block f_g of each grid point, whose columns are (X(g), H).
     blocks = [dsp.blocks[g] for g in grid_points(dsp.horizon)]
+    budget = max(_SLICE_ENTRIES, d * d)
 
-    # sum over (r, c) of C_g[r, c] A_r A_c^* is f_g (I tensor C_g) f_g^*.
+    def batches() -> Iterator[tuple[int, int, Array]]:
+        # Runs of consecutive blocks of one shape, as many as keep their n^2 d^2
+        # generators each within the budget (at least one), joined side by side
+        # when drawn: (index of the first, count, [f_g ...]).
+        per, first = max(1, budget // (n * n * d * d)), 0
+        for _, run in groupby(blocks, key=np.shape):
+            run = list(run)
+            for i in range(0, len(run), per):
+                part = run[i:i + per]
+                yield first + i, len(part), np.concatenate(part, axis=1) if per > 1 else part[0]
+            first += len(run)
+
+    # sum over (r, c) of C_g[r, c] A_r A_c^* is f_g (I tensor C_g) f_g^*, and a
+    # batch is one product [f_g (I tensor C_g) ...] [f_g ...]^*.
     coefs = _random_coefficients(len(blocks) * n * n).reshape(-1, n, n)
     a = np.zeros((d, d), dtype=complex)
-    for f, c in zip(blocks, coefs):
-        a += (f.reshape(d, -1, n) @ c).reshape(d, -1) @ dagger(f)
+    for i, count, cols in batches():
+        a += (cols.reshape(d, count, -1, n) @ coefs[i:i + count]).reshape(d, -1) @ dagger(cols)
 
     def _chunks(frame: Array) -> Iterator[Array]:
         frame_h = dagger(frame)
-        for f in blocks:
-            h = (frame_h @ f).reshape(d, -1, n).transpose(2, 0, 1)  # h[r] = H_r
-            # Generator (r, c), H_r H_c^*, at r * n + c.
-            yield (h[:, None] @ dagger(h)[None]).reshape(n * n, d, d)
+        for _, count, cols in batches():
+            # h[i, r] = H_r of the batch's i-th grid point.
+            h = (frame_h @ cols).reshape(d, count, -1, n).transpose(1, 3, 0, 2)
+            if n * n * d * d > budget:  # one grid point, one generator at a time
+                for r, c in np.ndindex(n, n):
+                    yield (h[0, r] @ dagger(h[0, c]))[None]
+            else:  # generator (i, r, c), H_r H_c^* of point i, at (i * n + r) * n + c
+                yield (h[:, :, None] @ dagger(h)[:, None]).reshape(-1, d, d)
 
     frame, sizes = _eigen_clusters(a + dagger(a))
     coef, p, q = _block_commutant(_chunks(frame), sizes)

@@ -776,6 +776,14 @@ class TestCommutant:
             with pytest.raises(RuntimeError, match="no consistent block structure"):
                 algebra_dims(mats)
 
+    def test_clusters_of_one_weigh_imaginary_entries(self):
+        # In the standard frame, i (E_{j,j+1} - E_{j+1,j}) links j and j + 1
+        # through purely imaginary entries only; the three generate M_4.
+        units = _units_of(4)
+        mats = np.stack([1j * (units[5 * j + 1] - units[5 * j + 4]) for j in range(3)])
+        coef, _, _ = dilation._block_commutant([mats], np.ones(4, dtype=int))
+        assert coef.shape[1] == len(oracle_commutant(mats)) == 1
+
     def test_cap_raises_before_allocating(self):
         d = math.isqrt(dilation.MAX_COMMUTANT_UNKNOWNS) + 1
         tracemalloc.start()
@@ -787,6 +795,28 @@ class TestCommutant:
             tracemalloc.stop()
         # The refused solve would hold a (d^2 x d^2) complex operator.
         assert peak < 0.01 * 16 * d**4
+
+    def test_generator_batches_keep_the_bound(self, monkeypatch):
+        # A small_full-style mix/conj pair at dim K 16. Its grid points come in
+        # four runs of equal block shapes (fiber dimension 2^a), each one batch
+        # by default; a budget of 2^9 is under one grid point's n^2 d^2 = 1024
+        # entries, so the generators then come one at a time.
+        family = CommutingFamily(2, np.random.default_rng(3))
+        theta, phi = mix_of_unitaries(family, 2), mix_of_unitaries(family, 1)
+        res = lifted(theta, phi, GridPoint(3, 3), GridPoint(1, 1))
+        d = res.dsp.dim_k
+        assert d == 16
+        solve = dilation._block_commutant
+        sizes = []
+        monkeypatch.setattr(dilation, "_block_commutant", lambda chunks, clusters: solve(
+            (sizes.append(c.size) or c for c in chunks), clusters))
+        want = minimality_check(res)
+        assert sizes == [4 * 4 * d * d] * 4
+        sizes.clear()
+        monkeypatch.setattr(dilation, "_SLICE_ENTRIES", 2**9)
+        assert minimality_check(res) == want and want.passed
+        assert max(sizes) <= max(dilation._SLICE_ENTRIES, d * d)
+        assert sum(sizes) == 16 * 4 * d * d  # every generator of the 16 grid points
 
     def test_minimality_check_raises_over_cap(self, zx_pair, monkeypatch):
         res = lifted(*zx_pair, GridPoint(2, 2), GridPoint(1, 1))

@@ -11,8 +11,8 @@ or the error of the stage, that catches it there.
 
 Two further tables list the faults that no report can see: those
 equivalent to the correct code, with a one-line proof each, and the
-commutant-solver faults, which a minimal pair cannot show (see
-test_commutant_faults_move_the_pinned_triple).
+commutant-solver faults that drop generators or lose the eigenframe, which a
+minimal pair cannot show (see test_commutant_faults_move_the_pinned_triple).
 """
 
 import dataclasses
@@ -299,6 +299,14 @@ def dilation_lift_transposes_grid_points(mp):
 @caught("clock", "dilation")
 def dilation_lift_conjugated(mp):
     _edit_lift(mp, lambda v, margin: {g: x.conj() for g, x in v.items()})
+
+
+@caught("mix2", "minimality")
+def dilation_laplacian_without_degree_term(mp):
+    # The commutant solve with clusters of one then counts the negative
+    # eigenvalues of -(W + W^T) as commutant directions; the dense oracle_commutant
+    # catches it too (test_dilation.py::TestCommutant::test_synthetic_sets_match_oracle).
+    mp.setattr(dilation, "_laplacian", lambda w: -w)
 
 
 # Faults no report can see, each with its proof of equivalence.
